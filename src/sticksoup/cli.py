@@ -39,6 +39,7 @@ from .measures import (
     mu_double_circle,
     mu_hit,
 )
+from .reports import FitError
 from .soup import (
     Configuration,
     DiskWindow,
@@ -515,7 +516,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, TypeError) as exc:
         print(f"sticksoup: error: {exc}", file=sys.stderr)
         return 2
-    except (DegeneracyError, TraceError, OSError) as exc:
+    except (DegeneracyError, TraceError, FitError, OSError) as exc:
         print(f"sticksoup: failure: {exc}", file=sys.stderr)
         return 1
 

@@ -550,8 +550,11 @@ def invasion_domination_check(
     The first gap of each record is an i.i.d. draw of the single-annulus gap
     law; the later gaps are stochastically dominated by it, so the paired
     difference sum(L, j <= t) - t * L1 has nonpositive mean (gaps past the
-    record's end count as zero).
+    record's end count as zero).  Needs at least two trials for the standard
+    errors the verdict rests on.
     """
+    if n_trials < 2:
+        raise ValueError("domination check needs at least 2 trials")
     window = DiskWindow(Point(0.0, 0.0), 2.0 ** m)
     ts = sorted(int(t) for t in t_values)
     sums = np.zeros((n_trials, len(ts)))

@@ -24,6 +24,7 @@ from .geometry import (
     Disk,
     Point,
     Stick,
+    _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
@@ -157,8 +158,9 @@ def _subtract_open_disk(segs: np.ndarray, owners: np.ndarray, cx: float,
     left, lo = _materialize(
         segs, owners, np.zeros(len(segs)), np.where(hole, h0, 1.0), min_len
     )
+    # zero-length (dropped) right piece unless the segment crosses the hole
     right, ro = _materialize(
-        segs, owners, np.where(hole, h1, 0.0), np.ones(len(segs)), min_len
+        segs, owners, np.where(hole, h1, 1.0), np.ones(len(segs)), min_len
     )
     return np.vstack([left, right]), np.concatenate([lo, ro])
 
@@ -175,7 +177,7 @@ def covered_components(
     """
     segs = sticks_to_segments(sticks)
     pieces, owners, touch = _clip_to_region(segs, region)
-    kept = np.unique(owners)
+    kept = _sorted_unique(owners)
     n = len(kept)
     if n == 0:
         return ClusterPartition([], np.empty(0, dtype=int), 0, {})
@@ -192,15 +194,21 @@ def covered_components(
         (np.ones(len(ri), dtype=np.int8), (ri, rj)), shape=(n, n)
     )
     n_clusters, labels = connected_components(graph, directed=False)
-    touches: dict[int, set[str]] = {c: set() for c in range(n_clusters)}
-    for name, flags in touch.items():
-        for c in np.unique(labels[node[np.flatnonzero(flags)]]):
-            touches[int(c)].add(name)
+    # one bit per boundary piece in each cluster's code, then one shared
+    # frozenset per distinct code
+    names = list(touch)
+    code = np.zeros(n_clusters, dtype=np.int64)
+    for bit, flags in enumerate(touch.values()):
+        code[labels[node[flags]]] |= 1 << bit
+    table = [
+        frozenset(name for bit, name in enumerate(names) if mask >> bit & 1)
+        for mask in range(1 << len(names))
+    ]
     return ClusterPartition(
-        [int(s) for s in kept],
+        kept.tolist(),
         labels,
         int(n_clusters),
-        {c: frozenset(t) for c, t in touches.items()},
+        {c: table[m] for c, m in enumerate(code.tolist())},
     )
 
 

@@ -37,6 +37,7 @@ from .geometry import (
     Point,
     Polyline,
     Segment,
+    _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
@@ -512,7 +513,7 @@ def box_dimension(p: Polyline, scales: Sequence[float]) -> float:
         ys = np.r_[coords[:-1, 1][owner] + frac * dy[owner], coords[-1, 1]]
         ix = np.floor(xs / s).astype(np.int64)
         iy = np.floor(ys / s).astype(np.int64)
-        counts.append(len(np.unique(ix * (np.int64(1) << 32) + iy)))
+        counts.append(len(_sorted_unique(ix * (np.int64(1) << 32) + iy)))
     logs = np.log(1.0 / np.asarray(uniq))
     slope = np.polyfit(logs, np.log(np.asarray(counts, dtype=float)), 1)[0]
     return float(slope)

@@ -386,6 +386,19 @@ def batch_clip_to_box(segs: np.ndarray, b: Box):
     return keep, out
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array, equal to ``np.unique(keys)``.
+
+    Under numpy 2.4 ``np.unique`` takes a hash-table path for integer keys
+    that is about 40x slower than this sort on the million-key arrays of the
+    broad phase.
+    """
+    s = np.sort(keys)
+    if s.size == 0:
+        return s
+    return s[np.r_[True, s[1:] != s[:-1]]]
+
+
 def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     """[0..l0), [0..l1), ... concatenated (standard grouped-arange recipe)."""
     total = int(lengths.sum())
@@ -490,7 +503,7 @@ def candidate_pairs(segs: np.ndarray, cell: float | None = None):
     raw_j = v[j_side]
     lo = np.minimum(raw_i, raw_j)
     hi = np.maximum(raw_i, raw_j)
-    uniq = np.unique(lo * np.int64(n) + hi)
+    uniq = _sorted_unique(lo * np.int64(n) + hi)
     return uniq // n, uniq % n
 
 

@@ -24,6 +24,20 @@ class TestExitCodes:
     def test_bad_value_is_2(self, capsys):
         assert run(["sample", "--u", "-3", "--rmin", "0.1", "--window-radius", "1"]) == 2
 
+    def test_domination_needs_two_trials_is_2(self, capsys):
+        argv = ["invasion", "--u", "1", "--m", "4", "--rmin", "0.5", "--domination"]
+        assert run(argv) == 2
+        assert run(argv + ["--trials", "1"]) == 2
+        assert "at least 2 trials" in capsys.readouterr().err
+
+    def test_unfittable_scan_is_1(self, capsys):
+        # two trials can never give a row five successes, so no fit exists
+        assert run(["estimate", "arm", "--u", "0.15", "--rmin", "0.05",
+                    "--scan-mmax", "2", "--trials", "2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sticksoup: failure: ")
+
 
 class TestSample:
     def test_byte_reproducible(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sticksoup.events import (
+    _clip_to_region,
     arm_event,
     covered_components,
     double_intersection_count,
@@ -13,7 +14,15 @@ from sticksoup.events import (
     lr1_event,
     y_statistic,
 )
-from sticksoup.geometry import Annulus, Box, Disk, Point, Stick
+from sticksoup.geometry import (
+    Annulus,
+    Box,
+    Disk,
+    Point,
+    Stick,
+    radial_interval,
+    sticks_to_segments,
+)
 from sticksoup.soup import (
     Configuration,
     DiskWindow,
@@ -82,6 +91,71 @@ class TestCoveredComponents:
         part = covered_components(sticks, ann)
         # both clips are in the annulus, crossing at ~(0.23, 0) inside the hole
         assert part.n_clusters == 2
+
+    def test_clusters_touch_different_circles(self):
+        ann = Annulus(Point(0, 0), 1.0, 4.0)
+        sticks = [
+            Stick(Point(1.25, 0.0), 0.75, 0.0),          # radii 0.5 .. 2
+            Stick(Point(0.0, 4.0), 1.0, math.pi / 2),    # radii 3 .. 5
+            Stick(Point(-2.0, -2.0), 0.3, 0.4),          # inside, no circle
+            Stick(Point(-2.5, 0.0), 2.0, 0.0),           # radii 0.5 .. 4.5
+        ]
+        part = covered_components(sticks, ann)
+        assert part.n_clusters == 4
+        touched = [part.touches[part.cluster_of(i)] for i in range(4)]
+        assert touched == [
+            {"inner"}, {"outer"}, frozenset(), {"inner", "outer"}
+        ]
+        part = covered_components(sticks[:3], ann)
+        assert not part.any_cluster_touching("inner", "outer")
+
+
+class TestAnnulusClip:
+    """Clipping to a closed annulus: one piece per stick that meets it, two
+    for a stick whose interior crosses the open hole, never a repeated row."""
+
+    ANN = Annulus(Point(0, 0), 1.0, 2.0)
+
+    @staticmethod
+    def expected_pieces(segs, ann):
+        cx, cy = ann.center.x, ann.center.y
+        dmin, dmax = radial_interval(segs, cx, cy)
+        ends_out = np.minimum(
+            np.hypot(segs[:, 0] - cx, segs[:, 1] - cy),
+            np.hypot(segs[:, 2] - cx, segs[:, 3] - cy),
+        ) > ann.inner
+        meets = (dmin <= ann.outer) & (dmax >= ann.inner)
+        return meets.astype(int) + (meets & (dmin < ann.inner) & ends_out)
+
+    def check(self, segs, ann, expected):
+        pieces, owners, _ = _clip_to_region(segs, ann)
+        assert np.bincount(owners, minlength=len(segs)).tolist() == list(expected)
+        assert len(np.unique(pieces, axis=0)) == len(pieces)
+
+    def test_hand_built(self):
+        segs = sticks_to_segments(np.array([
+            [0.0, 0.0, 1.5, 0.0],          # crosses the hole
+            [0.0, 0.2, 3.0, 0.1],          # crosses the hole and both circles
+            [1.5, 0.0, 0.2, math.pi / 2],  # inside the annulus
+            [1.25, 0.0, 1.0, 0.0],         # from the hole to outside
+            [0.0, 0.0, 0.5, 0.3],          # inside the hole
+            [3.0, 3.0, 0.5, 0.0],          # outside the outer circle
+            [0.0, 1.5, 3.0, 0.0],          # chord missing the hole
+        ]))
+        expected = [2, 2, 1, 1, 0, 0, 1]
+        assert self.expected_pieces(segs, self.ANN).tolist() == expected
+        self.check(segs, self.ANN, expected)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_seeded_soup(self, seed):
+        cfg = sample_configuration(
+            SoupParams(0.3, 2.0, 0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
+        )
+        ann = Annulus(Point(0, 0), 0.25, 2.0)
+        segs = cfg.segments()
+        expected = self.expected_pieces(segs, ann)
+        assert np.any(expected == 2) and np.any(expected == 1)
+        self.check(segs, ann, expected)
 
 
 class TestArmEvent:

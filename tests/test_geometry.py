@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sticksoup.geometry import (
+    REL_EPS,
     Annulus,
     Box,
     GeometryError,
@@ -12,12 +14,16 @@ from sticksoup.geometry import (
     Polyline,
     Segment,
     Stick,
+    batch_pair_intersections,
+    candidate_pairs,
     clip_segment_to_box,
     point_segment_distance,
     segment_circle_intersections,
     segment_intersection,
     stick_to_segment,
+    sticks_to_segments,
 )
+from sticksoup.soup import DiskWindow, SoupParams, sample_configuration
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -190,3 +196,47 @@ class TestClip:
             assert point_segment_distance(p, s) <= tol * max(
                 1.0, abs(x1), abs(y1), abs(x2), abs(y2)
             )
+
+
+class TestCandidatePairsGrid:
+    """The grid broad phase (more than 200 segments) against all pairs."""
+
+    @staticmethod
+    def segments(seed):
+        cfg = sample_configuration(
+            SoupParams(0.15, 2.0, 0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
+        )
+        rng = np.random.default_rng(seed)
+        k = 40
+        x = rng.uniform(-2, 2, size=(k, 2))
+        y = rng.uniform(-2, 2, size=k)
+        horizontal = np.column_stack([x.min(axis=1), y, x.max(axis=1), y])
+        # vertical sticks starting exactly on a horizontal one (T-junctions)
+        mid = x.mean(axis=1)
+        t_junction = np.column_stack([mid, y, mid, y + rng.uniform(0.05, 1.0, k)])
+        vertical = np.column_stack([y, x.min(axis=1), y, x.max(axis=1)])
+        long_sticks = sticks_to_segments(np.column_stack([
+            rng.uniform(-1, 1, size=(k, 2)),
+            rng.uniform(10, 100, k),
+            rng.uniform(-math.pi / 2, math.pi / 2, k),
+        ]))
+        return np.vstack([
+            sticks_to_segments(cfg.stick_data),
+            horizontal, t_junction, vertical, long_sticks,
+        ])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unique_ordered_superset_of_hits(self, seed):
+        segs = self.segments(seed)
+        n = len(segs)
+        assert n > 200
+        I, J = candidate_pairs(segs)
+        assert np.all(I < J)
+        keys = I * n + J
+        assert len(np.unique(keys)) == len(keys)
+        AI, AJ = np.triu_indices(n, 1)
+        eps = REL_EPS * max(1.0, float(np.abs(segs).max()))
+        hits = batch_pair_intersections(segs, AI, AJ, eps)[0]
+        true_keys = AI[hits] * n + AJ[hits]
+        assert len(true_keys) > n
+        assert np.all(np.isin(true_keys, keys))
