@@ -26,6 +26,7 @@ from .estimators import (
     invasion_domination_check,
     parker_cowan_check,
     property_void_scan,
+    run_trials,
 )
 from .events import invasion_sequence
 from .exploration import DegeneracyError, TraceError, build_arrangement, trace_exploration
@@ -443,6 +444,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invasion(args) -> int:
     _need(args, "u", "rmin", "m")
+    if args.domination:
+        _need(args, "trials")
     params = SoupParams(args.u, args.alpha, args.seed)
     n_trials = args.trials if args.trials is not None else 1
     config = {"command": "invasion", "u": args.u, "alpha": args.alpha,
@@ -463,15 +466,12 @@ def _cmd_invasion(args) -> int:
         return 0
     radius = args.window_radius if args.window_radius is not None else 2.0 ** args.m
     window = DiskWindow(Point(0.0, 0.0), radius)
-    from .seeds import derive_seed
 
-    records = []
-    for i in range(n_trials):
-        cfg = sample_configuration(params, window, args.rmin, derive_seed(args.seed, i, 0))
+    def record(cfg):
         rec = invasion_sequence(cfg, args.m)
-        records.append(
-            {"m": rec.m, "I": rec.I, "L": rec.L, "T": rec.T, "truncated": rec.truncated}
-        )
+        return {"m": rec.m, "I": rec.I, "L": rec.L, "T": rec.T, "truncated": rec.truncated}
+
+    records, _ = run_trials(params, window, args.rmin, n_trials, args.seed, record)
     _write(args.out, _common_output(config, records))
     return 0
 

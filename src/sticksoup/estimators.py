@@ -97,10 +97,38 @@ def _event_name(event) -> str:
     return type(event).__name__
 
 
-def _sample_trial(params, window, r_min, master_seed, index) -> Configuration:
-    return sample_configuration(
-        params, window, r_min, derive_seed(master_seed, index, 0)
-    )
+def run_trials(
+    params: SoupParams,
+    window: DiskWindow,
+    r_min: float,
+    n_trials: int,
+    master_seed: int,
+    evaluate: Callable[[Configuration], object],
+) -> tuple[list, int]:
+    """Evaluate one sampled configuration per trial, in trial order.
+
+    Trial i samples with seed ``derive_seed(master_seed, i, attempt)``.  When
+    ``evaluate`` raises DegeneracyError the trial is resampled with the next
+    attempt, at most _MAX_DEGENERACY_RETRIES times.  Returns the outcomes and
+    the number of resamples.
+    """
+    outcomes = []
+    resamples = 0
+    for i in range(n_trials):
+        for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
+            cfg = sample_configuration(
+                params, window, r_min, derive_seed(master_seed, i, attempt)
+            )
+            try:
+                outcomes.append(evaluate(cfg))
+                break
+            except DegeneracyError:
+                resamples += 1
+        else:
+            raise DegeneracyError(
+                f"trial {i}: degenerate after {_MAX_DEGENERACY_RETRIES} resamples"
+            )
+    return outcomes, resamples
 
 
 def estimate_probability(
@@ -118,25 +146,12 @@ def estimate_probability(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    successes = 0
-    resamples = 0
-    for i in range(n_trials):
-        for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
-            cfg = sample_configuration(
-                params, window, r_min, derive_seed(master_seed, i, attempt)
-            )
-            try:
-                ok = _apply_event(event, cfg)
-                break
-            except DegeneracyError:
-                resamples += 1
-        else:
-            raise DegeneracyError(
-                f"trial {i}: degenerate after {_MAX_DEGENERACY_RETRIES} resamples"
-            )
-        successes += bool(ok)
+    outcomes, resamples = run_trials(
+        params, window, r_min, n_trials, master_seed,
+        lambda cfg: _apply_event(event, cfg),
+    )
     return from_successes(
-        successes,
+        sum(map(bool, outcomes)),
         n_trials,
         master_seed,
         {
@@ -224,22 +239,15 @@ def h1_scan(
         Annulus(Point(0.0, 0.0), outer * 2.0 ** (-m), outer)
         for m in range(1, m_max + 1)
     ]
-    successes = [0] * m_max
-    for i in range(n_trials):
-        for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
-            cfg = sample_configuration(
-                params, window, r_min, derive_seed(master_seed, i, attempt)
-            )
-            try:
-                res = trace_exploration(build_arrangement(cfg, box))
-                break
-            except DegeneracyError:
-                continue
-        else:
-            raise DegeneracyError(f"trial {i}: persistent degeneracy")
-        for j, ann in enumerate(annuli):
-            n_arms, _ = count_traversals(res.path, ann, res.edge_labels)
-            successes[j] += n_arms >= k
+
+    def evaluate(cfg):
+        res = trace_exploration(build_arrangement(cfg, box))
+        return [
+            count_traversals(res.path, ann, res.edge_labels)[0] >= k for ann in annuli
+        ]
+
+    hits, _ = run_trials(params, window, r_min, n_trials, master_seed, evaluate)
+    successes = [sum(h[j] for h in hits) for j in range(m_max)]
     indices = list(range(1, m_max + 1))
     rows = [
         from_successes(
@@ -321,12 +329,11 @@ def correlation_estimate(
         raise ValueError("covariance needs at least 2 trials")
     radius = max(f1.region_radius, f2.region_radius)
     window = DiskWindow(Point(0.0, 0.0), radius)
-    x = np.empty(n_trials)
-    y = np.empty(n_trials)
-    for i in range(n_trials):
-        cfg = _sample_trial(params, window, r_min, master_seed, i)
-        x[i] = f1.fn(cfg)
-        y[i] = f2.fn(cfg)
+    outcomes, _ = run_trials(
+        params, window, r_min, n_trials, master_seed,
+        lambda cfg: (f1.fn(cfg), f2.fn(cfg)),
+    )
+    x, y = (np.array(v, dtype=float) for v in zip(*outcomes))
     degenerate = bool(x.std() == 0.0 or y.std() == 0.0)
     prod = (x - x.mean()) * (y - y.mean())
     cov = float(prod.mean())
@@ -378,10 +385,11 @@ def parker_cowan_check(
         raise ValueError("n_trials must be at least 1")
     if not (0 < r < t):
         raise ValueError(f"need 0 < r < t, got r={r}, t={t}")
-    counts = np.empty(n_trials)
-    for i in range(n_trials):
-        cfg = _sample_trial(params, window, r, master_seed, i)
-        counts[i] = np.count_nonzero(cfg.stick_data[:, 2] < t)
+    outcomes, _ = run_trials(
+        params, window, r, n_trials, master_seed,
+        lambda cfg: np.count_nonzero(cfg.stick_data[:, 2] < t),
+    )
+    counts = np.array(outcomes, dtype=float)
     a = window.radius
     oracle = expected_count_band_convex(
         params.alpha, params.u, r, t, math.pi * a * a, 2 * math.pi * a
@@ -437,24 +445,18 @@ def property_void_scan(
         box = Box(Point(0.0, 0.0), Point(1.0, 1.0))
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
     n_balls = len(balls)
-    successes = [0] * n_balls
-    for i in range(n_trials):
-        for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
-            cfg = sample_configuration(
-                params, window, r_min, derive_seed(master_seed, i, attempt)
-            )
-            try:
-                res = trace_exploration(build_arrangement(cfg, box))
-                break
-            except DegeneracyError:
-                continue
-        else:
-            raise DegeneracyError(f"trial {i}: persistent degeneracy")
-        tail = last_left_subpath(res, box)
+
+    def evaluate(cfg):
+        tail = last_left_subpath(trace_exploration(build_arrangement(cfg, box)), box)
         alive = True
-        for n in range(n_balls):
-            alive = alive and hits_all_balls(tail, [balls[n]])
-            successes[n] += alive
+        prefix = []
+        for ball in balls:
+            alive = alive and hits_all_balls(tail, [ball])
+            prefix.append(alive)
+        return prefix
+
+    hits, _ = run_trials(params, window, r_min, n_trials, master_seed, evaluate)
+    successes = [sum(h[n] for h in hits) for n in range(n_balls)]
     indices = list(range(1, n_balls + 1))
     rows = [
         from_successes(
@@ -500,17 +502,13 @@ def coupled_arm_monotonicity(
     """
     rs = sorted(float(r) for r in r_values)
     window = DiskWindow(annulus.center, annulus.outer)
-    hits = np.zeros(len(rs), dtype=np.int64)
-    violations = 0
-    for i in range(n_trials):
-        cfg = _sample_trial(params, window, rs[0], master_seed, i)
-        prev = None
-        for j, r in enumerate(rs):
-            ind = arm_event(restrict_configuration(cfg, r), annulus)
-            hits[j] += ind
-            if prev is not None and ind and not prev:
-                violations += 1
-            prev = ind
+    outcomes, _ = run_trials(
+        params, window, rs[0], n_trials, master_seed,
+        lambda cfg: [arm_event(restrict_configuration(cfg, r), annulus) for r in rs],
+    )
+    ind = np.array(outcomes, dtype=bool)
+    hits = ind.sum(axis=0)
+    violations = int(np.count_nonzero(ind[:, 1:] & ~ind[:, :-1]))
     return CoupledMonotonicityReport(
         r_values=rs,
         estimates=[float(h) / n_trials for h in hits],
@@ -557,16 +555,13 @@ def invasion_domination_check(
         raise ValueError("domination check needs at least 2 trials")
     window = DiskWindow(Point(0.0, 0.0), 2.0 ** m)
     ts = sorted(int(t) for t in t_values)
-    sums = np.zeros((n_trials, len(ts)))
-    first = np.zeros(n_trials)
-    truncated = 0
-    for i in range(n_trials):
-        cfg = _sample_trial(params, window, r_min, master_seed, i)
-        rec = invasion_sequence(cfg, m)
-        truncated += rec.truncated
-        first[i] = rec.L[0]
-        for j, t in enumerate(ts):
-            sums[i, j] = sum(rec.L[:t])
+    records, _ = run_trials(
+        params, window, r_min, n_trials, master_seed,
+        lambda cfg: invasion_sequence(cfg, m),
+    )
+    truncated = sum(rec.truncated for rec in records)
+    first = np.array([rec.L[0] for rec in records], dtype=float)
+    sums = np.array([[sum(rec.L[:t]) for t in ts] for rec in records], dtype=float)
     diff = sums - first[:, None] * np.asarray(ts, dtype=float)[None, :]
     dm = diff.mean(axis=0)
     dse = diff.std(axis=0, ddof=1) / math.sqrt(n_trials)
@@ -589,8 +584,7 @@ def y_gap_samples(
 ) -> np.ndarray:
     """Fresh-configuration gap draws j - D_j (one per sample)."""
     window = DiskWindow(Point(0.0, 0.0), 2.0 ** j)
-    out = np.empty(n_samples, dtype=np.int64)
-    for i in range(n_samples):
-        cfg = _sample_trial(params, window, r_min, master_seed, i)
-        out[i] = y_statistic(cfg, j)
-    return out
+    gaps, _ = run_trials(
+        params, window, r_min, n_samples, master_seed, lambda cfg: y_statistic(cfg, j)
+    )
+    return np.array(gaps, dtype=np.int64)

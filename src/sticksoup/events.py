@@ -28,6 +28,7 @@ from .geometry import (
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
+    line_circle_roots,
     radial_interval,
     sticks_to_segments,
 )
@@ -107,21 +108,12 @@ def _clip_to_region(segs: np.ndarray, region):
 def _segment_disk_params(segs: np.ndarray, cx: float, cy: float, rad: float):
     """Per segment, the parameter interval [t0, t1] inside the closed disk
     (t0 > t1 when the segment misses the disk)."""
-    ax = segs[:, 0] - cx
-    ay = segs[:, 1] - cy
-    dx = segs[:, 2] - segs[:, 0]
-    dy = segs[:, 3] - segs[:, 1]
-    aa = dx * dx + dy * dy
-    bb = 2 * (ax * dx + ay * dy)
-    cc = ax * ax + ay * ay - rad * rad
-    disc = bb * bb - 4 * aa * cc
-    good = disc > 0
-    sq = np.sqrt(np.where(good, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = np.where(good, (-bb - sq) / (2 * aa), 1.0)
-        t1 = np.where(good, (-bb + sq) / (2 * aa), 0.0)
-    t0 = np.maximum(t0, 0.0)
-    t1 = np.minimum(t1, 1.0)
+    good, lo, hi = line_circle_roots(
+        segs[:, 0] - cx, segs[:, 1] - cy,
+        segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1], rad,
+    )
+    t0 = np.maximum(np.where(good, lo, 1.0), 0.0)
+    t1 = np.minimum(np.where(good, hi, 0.0), 1.0)
     return t0, t1
 
 

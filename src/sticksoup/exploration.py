@@ -24,6 +24,7 @@ in the number of darts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,6 +42,7 @@ from .geometry import (
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
+    line_circle_roots,
 )
 from .soup import Configuration
 
@@ -103,7 +105,16 @@ class Arrangement:
     on_top: np.ndarray
     on_bottom: np.ndarray
     start_dart: int
-    stick_segments: dict[int, Segment] = field(default_factory=dict)
+    stick_ids: np.ndarray          # (m,) index of each clipped stick
+    clipped: np.ndarray            # (m, 4) the sticks clipped to the box
+
+    @functools.cached_property
+    def stick_segments(self) -> dict[int, Segment]:
+        """Clipped stick per stick index, as Segment objects."""
+        return {
+            int(s): Segment(Point(x1, y1), Point(x2, y2))
+            for s, (x1, y1, x2, y2) in zip(self.stick_ids, self.clipped)
+        }
 
     @property
     def n_vertices(self) -> int:
@@ -241,12 +252,6 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     if start_dart < 0:
         raise TraceError("bottom side missing at the start corner")
 
-    stick_segments = {
-        int(s): Segment(
-            Point(clipped[i, 0], clipped[i, 1]), Point(clipped[i, 2], clipped[i, 3])
-        )
-        for i, s in enumerate(stick_ids)
-    }
     return Arrangement(
         box=b,
         vertex_xy=vertex_xy,
@@ -261,7 +266,8 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
         on_top=on_top,
         on_bottom=on_bottom,
         start_dart=start_dart,
-        stick_segments=stick_segments,
+        stick_ids=stick_ids,
+        clipped=clipped,
     )
 
 
@@ -275,13 +281,6 @@ class ExplorationResult:
     sticks_touched: list[int]
     edge_labels: list[int]
     arrangement: Arrangement = field(repr=False)
-
-    def left_touch_indices(self) -> list[int]:
-        """Path vertex indices lying on the left side (start corner included)."""
-        b = self.arrangement.box
-        tol = REL_EPS * max(b.diagonal(), 1.0)
-        xs = self.path.coords[:, 0]
-        return [int(i) for i in np.flatnonzero(xs <= b.min.x + tol)]
 
 
 def trace_exploration(a: Arrangement) -> ExplorationResult:
@@ -352,23 +351,14 @@ class TraversalArm:
 
 def _circle_edge_events(coords: np.ndarray, cx: float, cy: float, rad: float):
     """Global parameters (edge index + t) where the polyline crosses |p|=rad."""
-    ax = coords[:-1, 0] - cx
-    ay = coords[:-1, 1] - cy
-    dx = np.diff(coords[:, 0])
-    dy = np.diff(coords[:, 1])
-    aa = dx * dx + dy * dy
-    bb = 2 * (ax * dx + ay * dy)
-    cc = ax * ax + ay * ay - rad * rad
-    disc = bb * bb - 4 * aa * cc
-    good = disc > 0
-    sq = np.sqrt(np.where(good, disc, 0.0))
+    good, lo, hi = line_circle_roots(
+        coords[:-1, 0] - cx, coords[:-1, 1] - cy,
+        np.diff(coords[:, 0]), np.diff(coords[:, 1]), rad,
+    )
     out = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sign in (-1.0, 1.0):
-            t = (-bb + sign * sq) / (2 * aa)
-            ok = good & (t >= 0.0) & (t < 1.0)
-            idx = np.flatnonzero(ok)
-            out.append(idx + t[idx])
+    for t in (lo, hi):
+        idx = np.flatnonzero(good & (t >= 0.0) & (t < 1.0))
+        out.append(idx + t[idx])
     return np.concatenate(out)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -314,12 +314,6 @@ def point_segment_distance(p: Point, s: Segment) -> float:
 # vectorized kit (private): segments are (n, 4) arrays [x1, y1, x2, y2]
 
 
-def segments_array(segments: Iterable[Segment]) -> np.ndarray:
-    return np.asarray(
-        [(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments], dtype=float
-    ).reshape(-1, 4)
-
-
 def sticks_to_segments(sticks: Sequence[Stick] | np.ndarray) -> np.ndarray:
     """(n, 4) endpoint array from Stick objects or an (n, 4) [cx, cy, r, v] array."""
     if isinstance(sticks, np.ndarray):
@@ -350,6 +344,22 @@ def radial_interval(segs: np.ndarray, cx: float, cy: float):
     dmin = np.hypot(ax + t * dx, ay + t * dy)
     dmax = np.maximum(np.hypot(ax, ay), np.hypot(bx, by))
     return dmin, dmax
+
+
+def line_circle_roots(ax, ay, dx, dy, rad: float):
+    """Per row, ``(good, t_lo, t_hi)`` for |(ax, ay) + t (dx, dy)| = rad.
+
+    ``good`` marks the rows whose line crosses the circle (positive
+    discriminant); the roots t_lo <= t_hi of the other rows are meaningless.
+    """
+    aa = dx * dx + dy * dy
+    bb = 2 * (ax * dx + ay * dy)
+    cc = ax * ax + ay * ay - rad * rad
+    disc = bb * bb - 4 * aa * cc
+    good = disc > 0
+    sq = np.sqrt(np.where(good, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return good, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
 
 
 def batch_clip_to_box(segs: np.ndarray, b: Box):

@@ -30,6 +30,11 @@ class TestExitCodes:
         assert run(argv + ["--trials", "1"]) == 2
         assert "at least 2 trials" in capsys.readouterr().err
 
+    def test_domination_without_trials_names_flag(self, capsys):
+        argv = ["invasion", "--u", "1", "--m", "4", "--rmin", "0.5", "--domination"]
+        assert run(argv) == 2
+        assert "--trials" in capsys.readouterr().err
+
     def test_unfittable_scan_is_1(self, capsys):
         # two trials can never give a row five successes, so no fit exists
         assert run(["estimate", "arm", "--u", "0.15", "--rmin", "0.05",

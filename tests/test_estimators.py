@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from sticksoup import estimators
 from sticksoup.estimators import (
     ArmEventSpec,
     CrossingEventSpec,
     LocalEvent,
     NonemptyEvent,
+    PredicateEvent,
     arm_decay_scan,
     correlation_estimate,
     coupled_arm_monotonicity,
@@ -21,8 +23,10 @@ from sticksoup.estimators import (
     validate_separated,
     y_gap_samples,
 )
+from sticksoup.exploration import DegeneracyError
 from sticksoup.geometry import Annulus, Box, Point
 from sticksoup.reports import FitError, from_successes, wilson_interval
+from sticksoup.seeds import derive_seed
 from sticksoup.soup import DiskWindow, SoupParams
 
 ORIGIN = Point(0.0, 0.0)
@@ -76,6 +80,49 @@ class TestEstimateProbability:
             estimate_probability(
                 NonemptyEvent(), SoupParams(1, 2, 0), DiskWindow(ORIGIN, 1), 1, 0, 0
             )
+
+
+class TestDegeneracyResample:
+    def test_resamples_counted(self):
+        bad = {derive_seed(17, i, 0) for i in (0, 3, 4)}
+
+        def fn(c):
+            if c.seed in bad:
+                raise DegeneracyError("forced")
+            return True
+
+        rep = estimate_probability(
+            PredicateEvent("forced", fn), SoupParams(1.0, 2.0, 0),
+            DiskWindow(ORIGIN, 1.0), 1.0, 6, 17,
+        )
+        assert rep.params["resamples"] == 3
+        assert rep.successes == 6
+
+    def test_persistent_degeneracy_names_trial(self):
+        def fn(c):
+            raise DegeneracyError("forced")
+
+        with pytest.raises(DegeneracyError, match="trial 0"):
+            estimate_probability(
+                PredicateEvent("never", fn), SoupParams(1.0, 2.0, 0),
+                DiskWindow(ORIGIN, 1.0), 1.0, 2, 17,
+            )
+
+    def test_h1_scan_resamples(self, monkeypatch):
+        real = estimators.build_arrangement
+        calls = []
+
+        def flaky(c, b):
+            calls.append(c.seed)
+            if len(calls) == 1:
+                raise DegeneracyError("forced")
+            return real(c, b)
+
+        monkeypatch.setattr(estimators, "build_arrangement", flaky)
+        rep = h1_scan(SoupParams(0.2, 2.0, 0), 0.15, 1, 2, 60, 8)
+        assert len(calls) == 61
+        assert calls[:2] == [derive_seed(8, 0, 0), derive_seed(8, 0, 1)]
+        assert [r.n_trials for r in rep.rows] == [60, 60]
 
 
 class TestWilson:
