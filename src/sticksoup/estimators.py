@@ -112,6 +112,8 @@ def run_trials(
     attempt, at most _MAX_DEGENERACY_RETRIES times.  Returns the outcomes and
     the number of resamples.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     outcomes = []
     resamples = 0
     for i in range(n_trials):
@@ -144,8 +146,6 @@ def estimate_probability(
     Configurations whose arrangement is degenerate (tolerance-coincident
     vertices) are resampled with a salted seed and counted in the report.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     outcomes, resamples = run_trials(
         params, window, r_min, n_trials, master_seed,
         lambda cfg: _apply_event(event, cfg),
@@ -381,8 +381,6 @@ def parker_cowan_check(
 ) -> MeanCountReport:
     """Mean sampled count of sticks with R in [r, t) hitting the window disk,
     compared to the closed-form band expectation."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     if not (0 < r < t):
         raise ValueError(f"need 0 < r < t, got r={r}, t={t}")
     outcomes, _ = run_trials(

@@ -22,7 +22,6 @@ from .geometry import (
     Annulus,
     Box,
     Disk,
-    Point,
     Stick,
     _sorted_unique,
     batch_clip_to_box,
@@ -204,19 +203,9 @@ def covered_components(
     )
 
 
-def _require_inside_window(c: Configuration, center: Point, radius: float):
-    d = math.hypot(center.x - c.window.center.x, center.y - c.window.center.y)
-    tol = REL_EPS * max(c.window.radius, 1.0)
-    if d + radius > c.window.radius + tol:
-        raise ValueError(
-            f"region of radius {radius} at {center} exceeds the sampling window; "
-            "sample a larger window"
-        )
-
-
 def arm_event(c: Configuration, ann: Annulus) -> bool:
     """True iff a cluster of clipped sticks joins the inner and outer circles."""
-    _require_inside_window(c, ann.center, ann.outer)
+    c.window.require_contains(ann.center, ann.outer)
     if c.n_sticks == 0:
         return False
     segs = c.segments()
@@ -237,7 +226,7 @@ def lr1_event(c: Configuration, b: Box, k: float) -> bool:
             f"box width {b.width()} is not k={k} times its height {b.height()}"
         )
     corner_r = math.hypot(b.width(), b.height()) / 2.0
-    _require_inside_window(c, b.center(), corner_r)
+    c.window.require_contains(b.center(), corner_r)
     if c.n_sticks == 0:
         return False
     segs = c.segments()

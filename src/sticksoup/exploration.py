@@ -31,6 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
 from .geometry import (
     REL_EPS,
     Annulus,
@@ -38,6 +41,7 @@ from .geometry import (
     Point,
     Polyline,
     Segment,
+    _concat_ranges,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
@@ -59,38 +63,71 @@ class TraceError(RuntimeError):
     """Internal invariant of the exploration walk violated."""
 
 
-class _Snapper:
-    """Merge points within eps into canonical vertices (grid with neighbors)."""
+def _snap(x: np.ndarray, y: np.ndarray, eps: float):
+    """Merge points within eps into vertices; returns (vertex id per point,
+    index of the point that founds each vertex).
 
-    __slots__ = ("eps", "cells", "xs", "ys")
+    Points are taken in array order: a point joins the vertex founded by an
+    earlier point within eps, else founds a new one, and vertices are
+    numbered by first appearance.  That rule is order-independent exactly
+    when every group of near points is pairwise within eps; a chain (A near
+    B, B near C, C not near A) raises DegeneracyError.
+    """
+    n = len(x)
+    # collapse exact duplicates; the stable sort keeps the earliest first
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    new = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    first = order[new]
+    ux, uy = xs[new], ys[new]
+    m = len(first)
 
-    def __init__(self, eps: float):
-        self.eps = eps
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        self.xs: list[float] = []
-        self.ys: list[float] = []
+    # near pairs among distinct points: 3x3 join on cells of side eps.  In
+    # key order, cells (cx, cy..cy+1) and (cx+1, cy-1..cy+1) are two runs,
+    # so each pair is met once, from the lower cell (or the lower position).
+    cx = np.floor((ux - ux.min()) / eps).astype(np.int64)
+    cy = np.floor((uy - uy.min()) / eps).astype(np.int64) + 1
+    width = int(cy.max()) + 2
+    key = cx * width + cy
+    korder = np.argsort(key, kind="stable")
+    skey = key[korder]
+    pos = np.arange(m)
+    runs = (
+        (pos + 1, np.searchsorted(skey, skey + 2)),
+        (np.searchsorted(skey, skey + width - 1), np.searchsorted(skey, skey + width + 2)),
+    )
+    pi = np.concatenate([np.repeat(pos, hi - lo) for lo, hi in runs])
+    pj = np.concatenate([np.repeat(lo, hi - lo) + _concat_ranges(hi - lo) for lo, hi in runs])
+    pi, pj = korder[pi], korder[pj]
+    dx = ux[pi] - ux[pj]
+    dy = uy[pi] - uy[pj]
+    near = dx * dx + dy * dy <= eps * eps
+    pi, pj = pi[near], pj[near]
 
-    def get(self, x: float, y: float) -> int:
-        q = self.eps
-        ix, iy = round(x / q), round(y / q)
-        eps2 = q * q
-        for nx in (ix - 1, ix, ix + 1):
-            for ny in (iy - 1, iy, iy + 1):
-                for vid in self.cells.get((nx, ny), ()):
-                    dx = self.xs[vid] - x
-                    dy = self.ys[vid] - y
-                    if dx * dx + dy * dy <= eps2:
-                        return vid
-        vid = len(self.xs)
-        self.xs.append(x)
-        self.ys.append(y)
-        self.cells.setdefault((ix, iy), []).append(vid)
-        return vid
+    n_comp, comp = connected_components(
+        coo_matrix((np.ones(len(pi)), (pi, pj)), shape=(m, m)), directed=False
+    )
+    size = np.bincount(comp, minlength=n_comp)
+    chained = np.bincount(comp[pi], minlength=n_comp) != size * (size - 1) // 2
+    if np.any(chained):
+        p = first[np.flatnonzero(chained[comp])[0]]
+        raise DegeneracyError(f"chained near-coincident points at ({x[p]}, {y[p]})")
+    founder = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(founder, comp, first)
+    founders = np.sort(founder)
+    return np.searchsorted(founders, founder)[comp[group]], founders
 
 
 @dataclass
 class Arrangement:
-    """Planar subdivision with twin darts and per-vertex rotation order."""
+    """Planar subdivision with twin darts and per-vertex rotation order.
+
+    The rotation system is stored flat: ``rotation`` holds every dart id
+    sorted by (origin, angle), and the wheel of vertex v is
+    ``rotation[rot_start[v]:rot_start[v + 1]]``.
+    """
 
     box: Box
     vertex_xy: np.ndarray          # (nv, 2)
@@ -98,7 +135,8 @@ class Arrangement:
     twin: np.ndarray               # (nd,)
     angle: np.ndarray              # (nd,)
     label: np.ndarray              # (nd,) stick index or side constant
-    rotation: list[np.ndarray]     # per vertex, dart ids sorted by angle
+    rotation: np.ndarray           # (nd,) dart ids sorted by (origin, angle)
+    rot_start: np.ndarray          # (nv + 1,) wheel offsets into rotation
     rot_pos: np.ndarray            # (nd,) index of dart in its wheel
     on_left: np.ndarray
     on_right: np.ndarray
@@ -124,21 +162,18 @@ class Arrangement:
     def n_darts(self) -> int:
         return len(self.origin)
 
-    def target(self, dart: int) -> int:
-        return int(self.origin[self.twin[dart]])
+    def wheel(self, vertex: int) -> np.ndarray:
+        """Outgoing darts of a vertex, sorted by angle."""
+        return self.rotation[self.rot_start[vertex]:self.rot_start[vertex + 1]]
 
     def degree(self, vertex: int) -> int:
-        return len(self.rotation[vertex])
+        return int(self.rot_start[vertex + 1] - self.rot_start[vertex])
 
 
 def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     """Clip the sticks to the box, split everything at mutual intersections
     and assemble the rotation system (including the four box sides)."""
-    corner_r = b.diagonal() / 2.0
-    center = b.center()
-    d = math.hypot(center.x - c.window.center.x, center.y - c.window.center.y)
-    if d + corner_r > c.window.radius * (1 + 1e-9) + REL_EPS:
-        raise ValueError("box exceeds the sampling window; sample a larger window")
+    c.window.require_contains(b.center(), b.diagonal() / 2.0)
 
     eps = REL_EPS * max(b.diagonal(), 1.0)
     sides = np.array(
@@ -154,10 +189,15 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     stick_ids = np.flatnonzero(keep)
     segs = np.vstack([sides, clipped])
     labels = np.concatenate([side_labels, stick_ids])
+    n_segs = len(segs)
 
-    # intersection points between all pairs of segments
+    # cut list: every segment's start, end and hits with other segments,
+    # cut from the I side first, then the J side, each in hit order
+    cut_seg = [np.arange(n_segs), np.arange(n_segs)]
+    cut_t = [np.zeros(n_segs), np.ones(n_segs)]
+    cut_x = [segs[:, 0], segs[:, 2]]
+    cut_y = [segs[:, 1], segs[:, 3]]
     I, J = candidate_pairs(segs)
-    cuts: list[list[tuple[float, float, float]]] = [[] for _ in range(len(segs))]
     if len(I):
         hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
         if np.any(overlap):
@@ -166,75 +206,62 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
                 f"collinear overlap between segments labelled "
                 f"{labels[I[k]]} and {labels[J[k]]}"
             )
-        hi = I[hits]
-        hj = J[hits]
         hx = px[hits]
         hy = py[hits]
-        for side in (hi, hj):
+        for side in (I[hits], J[hits]):
             ax = segs[side, 0]
             ay = segs[side, 1]
             dx = segs[side, 2] - ax
             dy = segs[side, 3] - ay
-            tt = ((hx - ax) * dx + (hy - ay) * dy) / (dx * dx + dy * dy)
-            for seg_idx, t, x, y in zip(side, tt, hx, hy):
-                cuts[seg_idx].append((float(t), float(x), float(y)))
+            cut_seg.append(side)
+            cut_t.append(((hx - ax) * dx + (hy - ay) * dy) / (dx * dx + dy * dy))
+            cut_x.append(hx)
+            cut_y.append(hy)
+    seg = np.concatenate(cut_seg)
+    # stable, so equal t keep the list order above
+    perm = np.lexsort((np.concatenate(cut_t), seg))
+    seg = seg[perm]
+    x = np.concatenate(cut_x)[perm]
+    y = np.concatenate(cut_y)[perm]
+    vid, founders = _snap(x, y, eps)
+    vertex_xy = np.column_stack([x[founders], y[founders]])
+    n_vertices = len(vertex_xy)
 
-    snap = _Snapper(eps)
-    edges: list[tuple[int, int, int]] = []
-    for idx in range(len(segs)):
-        x1, y1, x2, y2 = segs[idx]
-        pts = [(0.0, x1, y1), (1.0, x2, y2)] + cuts[idx]
-        pts.sort(key=lambda e: e[0])
-        prev = snap.get(pts[0][1], pts[0][2])
-        for _, x, y in pts[1:]:
-            cur = snap.get(x, y)
-            if cur != prev:
-                edges.append((prev, cur, int(labels[idx])))
-                prev = cur
-
-    vertex_xy = np.column_stack(
-        [np.asarray(snap.xs, dtype=float), np.asarray(snap.ys, dtype=float)]
-    )
-    n_edges = len(edges)
-    origin = np.empty(2 * n_edges, dtype=np.int64)
-    twin = np.empty(2 * n_edges, dtype=np.int64)
-    label = np.empty(2 * n_edges, dtype=np.int64)
-    for e, (u, v, lab) in enumerate(edges):
-        origin[2 * e] = u
-        origin[2 * e + 1] = v
-        twin[2 * e] = 2 * e + 1
-        twin[2 * e + 1] = 2 * e
-        label[2 * e] = lab
-        label[2 * e + 1] = lab
+    # edges join consecutive distinct vertices along each segment
+    step = np.flatnonzero((seg[1:] == seg[:-1]) & (vid[1:] != vid[:-1]))
+    n_darts = 2 * len(step)
+    origin = np.empty(n_darts, dtype=np.int64)
+    origin[0::2] = vid[step]
+    origin[1::2] = vid[step + 1]
+    twin = np.arange(n_darts, dtype=np.int64) ^ 1
+    label = np.repeat(labels[seg[step]], 2)
     tx = vertex_xy[origin[twin], 0] - vertex_xy[origin, 0]
     ty = vertex_xy[origin[twin], 1] - vertex_xy[origin, 1]
     angle = np.arctan2(ty, tx)
 
-    rotation: list[np.ndarray] = [None] * len(vertex_xy)  # type: ignore
-    rot_pos = np.empty(2 * n_edges, dtype=np.int64)
-    order = np.lexsort((angle, origin))
-    sorted_origin = origin[order]
-    bounds = np.flatnonzero(np.r_[True, sorted_origin[1:] != sorted_origin[:-1]])
-    bounds = np.r_[bounds, len(order)]
-    for gi in range(len(bounds) - 1):
-        lo, hi = bounds[gi], bounds[gi + 1]
-        wheel = order[lo:hi]
-        vtx = int(sorted_origin[lo])
-        rotation[vtx] = wheel
-        rot_pos[wheel] = np.arange(hi - lo)
-        if hi - lo > 1:
-            angs = angle[wheel]
-            gaps = np.diff(np.r_[angs, angs[0] + 2 * math.pi])
-            if np.min(gaps) < _ANGLE_EPS:
-                k = int(np.argmin(gaps))
-                pair = (int(label[wheel[k]]), int(label[wheel[(k + 1) % len(wheel)]]))
-                raise DegeneracyError(
-                    f"unresolvable dart angles at vertex {vtx} between "
-                    f"segments labelled {pair[0]} and {pair[1]}"
-                )
-    for vtx in range(len(vertex_xy)):
-        if rotation[vtx] is None:
-            rotation[vtx] = np.empty(0, dtype=np.int64)
+    rotation = np.lexsort((angle, origin))
+    rot_start = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(origin, minlength=n_vertices), out=rot_start[1:])
+    wheel_of = origin[rotation]
+    rot_pos = np.empty(n_darts, dtype=np.int64)
+    rot_pos[rotation] = np.arange(n_darts) - rot_start[wheel_of]
+
+    # angle gap from each dart to the next counterclockwise one in its wheel
+    ang = angle[rotation]
+    nxt = np.arange(1, n_darts + 1)
+    last = rot_start[1:][rot_start[1:] > rot_start[:-1]] - 1
+    nxt[last] = rot_start[wheel_of[last]]
+    gaps = ang[nxt] - ang
+    gaps[last] = (ang[nxt[last]] + 2 * math.pi) - ang[last]
+    bad = np.flatnonzero(gaps < _ANGLE_EPS)
+    if len(bad):
+        vtx = int(wheel_of[bad[0]])
+        lo = rot_start[vtx]
+        k = lo + int(np.argmin(gaps[lo:rot_start[vtx + 1]]))
+        raise DegeneracyError(
+            f"unresolvable dart angles at vertex {vtx} between "
+            f"segments labelled {label[rotation[k]]} and {label[rotation[nxt[k]]]}"
+        )
 
     tol = eps
     on_left = np.abs(vertex_xy[:, 0] - b.min.x) <= tol
@@ -242,14 +269,13 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     on_top = np.abs(vertex_xy[:, 1] - b.max.y) <= tol
     on_bottom = np.abs(vertex_xy[:, 1] - b.min.y) <= tol
 
-    corner = snap.get(b.min.x, b.min.y)
-    start_dart = -1
-    for dart in rotation[corner]:
-        if label[dart] == BOTTOM:
-            start_dart = int(dart)
-        elif label[dart] >= 0:
-            raise DegeneracyError("a stick passes through the start corner")
-    if start_dart < 0:
+    # the bottom side's start point is the corner (min.x, min.y)
+    corner = int(vid[np.flatnonzero(perm == 0)[0]])
+    wheel = rotation[rot_start[corner]:rot_start[corner + 1]]
+    if np.any(label[wheel] >= 0):
+        raise DegeneracyError("a stick passes through the start corner")
+    bottom = wheel[label[wheel] == BOTTOM]
+    if not len(bottom):
         raise TraceError("bottom side missing at the start corner")
 
     return Arrangement(
@@ -260,12 +286,13 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
         angle=angle,
         label=label,
         rotation=rotation,
+        rot_start=rot_start,
         rot_pos=rot_pos,
         on_left=on_left,
         on_right=on_right,
         on_top=on_top,
         on_bottom=on_bottom,
-        start_dart=start_dart,
+        start_dart=int(bottom[-1]),
         stick_ids=stick_ids,
         clipped=clipped,
     )
@@ -285,29 +312,36 @@ class ExplorationResult:
 
 def trace_exploration(a: Arrangement) -> ExplorationResult:
     """Run the interface walk from the lower-left corner to right or top."""
+    origin, twin, rotation, rot_start, rot_pos = (
+        a.origin, a.twin, a.rotation, a.rot_start, a.rot_pos
+    )
+    on_left, on_right, on_top = a.on_left, a.on_right, a.on_top
     d = a.start_dart
     used = np.zeros(a.n_darts, dtype=bool)
-    verts = [int(a.origin[d])]
+    verts = [int(origin[d])]
     dart_log: list[int] = []
     outcome = None
     for _ in range(a.n_darts + 1):
         if used[d]:
             raise TraceError(f"dart {d} reused; walk is cyclic")
         used[d] = True
-        dart_log.append(int(d))
-        v = a.target(d)
+        dart_log.append(d)
+        back = int(twin[d])
+        v = int(origin[back])
         verts.append(v)
-        if a.on_right[v]:
+        if on_right[v]:
             outcome = "Right"
             break
-        if a.on_top[v]:
+        if on_top[v]:
             outcome = "Top"
             break
-        if a.on_left[v] or a.degree(v) == 1:
-            d = int(a.twin[d])   # pierce the left side / wrap a stick tip
+        lo, hi = rot_start[v], rot_start[v + 1]
+        if on_left[v] or hi - lo == 1:
+            d = back   # pierce the left side / wrap a stick tip
             continue
-        wheel = a.rotation[v]
-        d = int(wheel[a.rot_pos[a.twin[d]] - 1])
+        # the dart before the reversed incoming one, cyclically
+        pos = rot_pos[back]
+        d = int(rotation[lo + pos - 1] if pos else rotation[hi - 1])
     if outcome is None:
         raise TraceError("walk exhausted dart budget without reaching right/top")
 

@@ -229,7 +229,8 @@ def segment_intersection(s1: Segment, s2: Segment) -> tuple[Point | None, bool]:
 def segment_circle_intersections(
     s: Segment, center: Point, radius: float
 ) -> list[Point]:
-    """Points of the closed segment on the circle, sorted along the segment.
+    """Points where the circle meets the closed segment (within tolerance),
+    sorted along the segment.
 
     A tangential contact (within tolerance) counts as one point.
     """
@@ -256,12 +257,11 @@ def segment_circle_intersections(
         roots = sorted([(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)])
         if roots[1] - roots[0] <= tol_t:
             roots = [(roots[0] + roots[1]) / 2]
-    out = []
-    for t in roots:
-        if -tol_t <= t <= 1 + tol_t:
-            t = min(1.0, max(0.0, t))
-            out.append(Point(s.a.x + t * dx, s.a.y + t * dy))
-    return out
+    # a root just past an end is kept unclamped: clamping it would move the
+    # point off the circle by up to the tolerance
+    return [
+        Point(s.a.x + t * dx, s.a.y + t * dy) for t in roots if -tol_t <= t <= 1 + tol_t
+    ]
 
 
 def clip_segment_to_box(s: Segment, b: Box) -> Segment | None:

@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .geometry import GeometryError, Point, Stick, sticks_to_segments
+from .geometry import REL_EPS, GeometryError, Point, Stick, sticks_to_segments
 
 
 class InfiniteMeasureError(ValueError):
@@ -50,6 +50,16 @@ class DiskWindow:
     def __post_init__(self):
         if not (self.radius > 0):
             raise GeometryError(f"window radius must be positive, got {self.radius}")
+
+    def require_contains(self, center: Point, radius: float) -> None:
+        """Raise ValueError unless the closed disk B(center, radius) lies in
+        the window, up to the relative tolerance of the geometry kernels."""
+        d = math.hypot(center.x - self.center.x, center.y - self.center.y)
+        if d + radius > self.radius + REL_EPS * max(self.radius, 1.0):
+            raise ValueError(
+                f"region of radius {radius} at {center} exceeds the sampling window; "
+                "sample a larger window"
+            )
 
 
 @dataclass

@@ -35,6 +35,14 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "h1", "--u", "0.2", "--rmin", "0.1", "--k", "1", "--mmax", "2"],
+        ["estimate", "void", "--u", "0.3", "--rmin", "0.1", "--balls", "0.2,0.75,0.05"],
+    ], ids=["h1", "void"])
+    def test_zero_trials_is_2(self, argv, capsys):
+        assert run(argv + ["--trials", "0"]) == 2
+        assert "n_trials must be at least 1" in capsys.readouterr().err
+
     def test_unfittable_scan_is_1(self, capsys):
         # two trials can never give a row five successes, so no fit exists
         assert run(["estimate", "arm", "--u", "0.15", "--rmin", "0.05",

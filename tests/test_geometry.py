@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sticksoup.geometry import (
@@ -153,6 +153,7 @@ class TestSegmentCircle:
         assert (pts[0].x, pts[0].y) == pytest.approx((0, 1))
 
     @given(*(finite,) * 4, st.floats(-10, 10), st.floats(-10, 10), st.floats(0.01, 20))
+    @example(1e-9, 0.0, 2.0, 0.0, 0.5, 0.0, 0.5)  # a root 1e-9 before the start
     @settings(max_examples=300)
     def test_hits_lie_on_circle_and_segment(self, x1, y1, x2, y2, cx, cy, rad):
         if (x1, y1) == (x2, y2):
