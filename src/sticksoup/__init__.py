@@ -69,7 +69,6 @@ from .exploration import (
 from .estimators import (
     ArmEventSpec,
     CrossingEventSpec,
-    Lr1EventSpec,
     NonemptyEvent,
     arm_decay_scan,
     correlation_estimate,

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .events import arm_event, invasion_sequence, lr1_event, y_statistic
+from .events import arm_event, invasion_sequence, y_statistic
 from .exploration import (
     DegeneracyError,
     build_arrangement,
@@ -55,14 +55,6 @@ class ArmEventSpec:
 
 
 @dataclass(frozen=True)
-class Lr1EventSpec:
-    """A single stick meets both vertical sides of the box."""
-
-    box: Box
-    k: float
-
-
-@dataclass(frozen=True)
 class CrossingEventSpec:
     """The exploration of the box ends on the right side (vacant crossing)."""
 
@@ -82,8 +74,6 @@ def _apply_event(event, c: Configuration) -> bool:
         return c.n_sticks > 0
     if isinstance(event, ArmEventSpec):
         return arm_event(c, event.annulus)
-    if isinstance(event, Lr1EventSpec):
-        return lr1_event(c, event.box, event.k)
     if isinstance(event, CrossingEventSpec):
         return trace_exploration(build_arrangement(c, event.box)).outcome == "Right"
     if isinstance(event, PredicateEvent):

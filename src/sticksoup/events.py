@@ -23,6 +23,7 @@ from .geometry import (
     Box,
     Disk,
     Stick,
+    _hits_vertical,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
@@ -234,28 +235,11 @@ def lr1_event(c: Configuration, b: Box, k: float) -> bool:
                        & _hits_vertical(segs, b.max.x, b.min.y, b.max.y)))
 
 
-def _hits_vertical(segs: np.ndarray, x: float, y0: float, y1: float):
-    ax, ay = segs[:, 0], segs[:, 1]
-    bx, by = segs[:, 2], segs[:, 3]
-    dx = bx - ax
-    dy = by - ay
-    vertical = dx == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(vertical, 0.0, (x - ax) / np.where(vertical, 1.0, dx))
-    y = ay + t * dy
-    cross = (~vertical) & (t >= 0.0) & (t <= 1.0) & (y >= y0) & (y <= y1)
-    on_line = vertical & (ax == x)  # measure-zero; still honor closed sets
-    overlap = on_line & (np.maximum(ay, by) >= y0) & (np.minimum(ay, by) <= y1)
-    return cross | overlap
-
-
 def double_intersection_count(c: Configuration, circle_radius: float) -> int:
     """Number of sticks meeting the circle around the window center twice."""
     if not (circle_radius > 0):
         raise ValueError("circle radius must be positive")
-    tol = REL_EPS * max(c.window.radius, 1.0)
-    if circle_radius > c.window.radius + tol:
-        raise ValueError("circle exceeds the sampling window")
+    c.window.require_contains(c.window.center, circle_radius)
     if c.n_sticks == 0:
         return 0
     return int(np.count_nonzero(double_circle_crossers(
@@ -265,21 +249,12 @@ def double_intersection_count(c: Configuration, circle_radius: float) -> int:
 def double_circle_crossers(stick_data: np.ndarray, cx: float, cy: float,
                            rho: float) -> np.ndarray:
     """Boolean mask of sticks whose segment meets the circle in two points."""
-    data = np.asarray(stick_data, dtype=float).reshape(-1, 4)
-    qx = data[:, 0] - cx
-    qy = data[:, 1] - cy
-    r = data[:, 2]
-    ex = np.cos(data[:, 3])
-    ey = np.sin(data[:, 3])
-    b = qx * ex + qy * ey
-    c0 = qx * qx + qy * qy - rho * rho
-    disc = b * b - c0
-    good = disc > 0
-    sq = np.sqrt(np.where(good, disc, 0.0))
-    t_lo = -b - sq
-    t_hi = -b + sq
-    return good & (t_lo >= -r) & (t_lo <= r) & (t_hi >= -r) & (t_hi <= r) \
-        & (t_hi - t_lo > 0)
+    segs = sticks_to_segments(np.asarray(stick_data, dtype=float))
+    good, lo, hi = line_circle_roots(
+        segs[:, 0] - cx, segs[:, 1] - cy,
+        segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1], rho,
+    )
+    return good & (lo >= 0) & (hi <= 1) & (hi > lo)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +314,7 @@ def invasion_sequence(c: Configuration, m: int) -> InvasionRecord:
     resolvable floor is hit; annuli are centered on the window center."""
     if m < 1:
         raise ValueError(f"starting scale m must be at least 1, got {m}")
-    tol = REL_EPS * max(c.window.radius, 1.0)
-    if c.window.radius + tol < 2.0 ** m:
-        raise ValueError(
-            f"window radius {c.window.radius} too small for scale 2^{m}"
-        )
+    c.window.require_contains(c.window.center, 2.0 ** m)
     floor = _annulus_floor_index(c.r_min)
     if floor > 1:
         raise ValueError(
@@ -375,9 +346,7 @@ def y_statistic(c: Configuration, j: int) -> int:
     No floor is applied; the value is exact versus the untruncated soup for
     gaps >= 3 whenever r_min <= 2^(j-3).
     """
-    tol = REL_EPS * max(c.window.radius, 1.0)
-    if c.window.radius + tol < 2.0 ** j:
-        raise ValueError(f"window radius {c.window.radius} too small for scale 2^{j}")
+    c.window.require_contains(c.window.center, 2.0 ** j)
     segs = c.segments()
     dmin, dmax, lo = _lowest_annulus_indices(
         segs, c.window.center.x, c.window.center.y

@@ -345,20 +345,19 @@ def trace_exploration(a: Arrangement) -> ExplorationResult:
     if outcome is None:
         raise TraceError("walk exhausted dart budget without reaching right/top")
 
-    labels = [int(a.label[dd]) for dd in dart_log]
-    touched: list[int] = []
-    seen: set[int] = set()
-    for lab in labels:
-        if lab >= 0 and lab not in seen:
-            seen.add(lab)
-            touched.append(lab)
+    labels = a.label[dart_log]
+    # distinct stick labels in order of first appearance along the walk
+    sticks = labels[labels >= 0]
+    order = np.argsort(sticks, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sticks[order[1:]] != sticks[order[:-1]]
     path = Polyline(a.vertex_xy[verts])
     return ExplorationResult(
         path=path,
         outcome=outcome,
         dart_log=dart_log,
-        sticks_touched=touched,
-        edge_labels=labels,
+        sticks_touched=sticks[np.sort(order[first])].tolist(),
+        edge_labels=labels.tolist(),
         arrangement=a,
     )
 

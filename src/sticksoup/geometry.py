@@ -362,6 +362,22 @@ def line_circle_roots(ax, ay, dx, dy, rad: float):
         return good, (-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)
 
 
+def _hits_vertical(segs: np.ndarray, x: float, y0: float, y1: float):
+    """Per segment, whether it meets the closed vertical segment {x} x [y0, y1]."""
+    ax, ay = segs[:, 0], segs[:, 1]
+    bx, by = segs[:, 2], segs[:, 3]
+    dx = bx - ax
+    dy = by - ay
+    vertical = dx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(vertical, 0.0, (x - ax) / np.where(vertical, 1.0, dx))
+    y = ay + t * dy
+    cross = (~vertical) & (t >= 0.0) & (t <= 1.0) & (y >= y0) & (y <= y1)
+    on_line = vertical & (ax == x)  # measure-zero; still honor closed sets
+    overlap = on_line & (np.maximum(ay, by) >= y0) & (np.minimum(ay, by) <= y1)
+    return cross | overlap
+
+
 def batch_clip_to_box(segs: np.ndarray, b: Box):
     """Vectorized Liang-Barsky clip.
 

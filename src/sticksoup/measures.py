@@ -1,4 +1,4 @@
-"""Closed-form and quadrature values of the stick hit measure.
+"""Closed-form values of the stick hit measure.
 
 These are the deterministic oracles the Monte Carlo estimators are checked
 against.  The measure of sticks hitting a fixed shape is infinite in several
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import EstimateReport, wilson_interval
+from .geometry import _hits_vertical, sticks_to_segments
 from .seeds import derive_seed
 from .soup import InfiniteMeasureError, hit_weights_disk, _sample_hit_sticks
 
@@ -81,62 +82,29 @@ def mu_hit(alpha: float, shape, radius_range) -> float:
     raise TypeError(f"unknown shape {shape!r}")
 
 
-def _double_hit_integrand_theta(theta: float, alpha: float) -> float:
-    # centers putting a stick of half-length x = sin(theta) < 1 across the
-    # unit circle twice; the substitution removes the endpoint singularity of
-    # asin at x = 1
-    s = math.sin(theta)
-    return (
-        (4.0 * s - 2.0 * theta - 2.0 * s * math.cos(theta))
-        * alpha
-        * s ** (-(1.0 + alpha))
-        * math.cos(theta)
-    )
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return rec(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + rec(
-            m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
-        )
-
-    return rec(a, fa, b, fb, m, fm, whole, tol, 30)
-
-
 def mu_double_circle(alpha: float) -> float:
     """Measure of sticks meeting a circle in exactly two points.
 
     Finite exactly for alpha in (1, 3); equal to 2*pi at alpha = 2.  The value
     is independent of the circle radius at alpha = 2 by scale invariance; for
     other alpha the unit circle is used (radius l rescales it by l^(2-alpha)).
+
+    Closed form 2 sqrt(pi) Gamma((1-alpha)/2) / ((alpha-2) Gamma(1-alpha/2)):
+    in x = sin(theta) the short-stick part is the integral over (0, 1) of
+    (4x - 2 asin x - 2x sqrt(1-x^2)) alpha x^(-1-alpha) dx, a sum of Beta
+    integrals for alpha < 1 that continues analytically to (0, 3); its
+    non-Beta terms cancel the long-stick part 4 alpha/(alpha-1) - pi.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha <= 1 or alpha >= 3:
         return math.inf
-    if alpha == 2.0:
+    if alpha == 2.0:  # removable singularity: pole of Gamma(1 - alpha/2)
         return 2.0 * math.pi
-    long_part = 4.0 * alpha / (alpha - 1.0) - math.pi  # sticks with 2R >= 2
-    # integrand ~ (2 alpha / 3) theta^(2 - alpha) as theta -> 0; integrable
-    # for alpha < 3, so the [0, delta] head is taken from the asymptote
-    delta = 1e-6
-    head = (2.0 * alpha / 3.0) * delta ** (3.0 - alpha) / (3.0 - alpha)
-    short_part = head + _adaptive_simpson(
-        lambda th: _double_hit_integrand_theta(th, alpha), delta, math.pi / 2, 1e-10
+    return (
+        2.0 * math.sqrt(math.pi) * math.gamma((1.0 - alpha) / 2.0)
+        / ((alpha - 2.0) * math.gamma(1.0 - alpha / 2.0))
     )
-    return short_part + long_part
 
 
 def annulus_crossing_bounds(alpha: float, l1: float, l2: float) -> tuple[float, float]:
@@ -149,12 +117,8 @@ def annulus_crossing_bounds(alpha: float, l1: float, l2: float) -> tuple[float, 
         raise ValueError(f"bounds require alpha > 1, got {alpha}")
     if not (0 < l1 < l2):
         raise ValueError(f"need 0 < l1 < l2, got ({l1}, {l2})")
-    coef = 4.0 * alpha / (alpha - 1.0)
-    lower = math.pi * l1 * l1 * l2 ** (-alpha) + coef * l1 * l2 ** (1.0 - alpha)
-    half_gap = (l2 - l1) / 2.0
-    upper = math.pi * l1 * l1 * half_gap ** (-alpha) + coef * l1 * half_gap ** (
-        1.0 - alpha
-    )
+    lower = sum(hit_weights_disk(alpha, l2, l1))
+    upper = sum(hit_weights_disk(alpha, (l2 - l1) / 2.0, l1))
     return lower, upper
 
 
@@ -189,27 +153,18 @@ def lr1_measure(
         raise InfiniteMeasureError("single-stick sampling requires alpha > 1")
     width = k * l
     r_min = width / 2.0
-    cx, cy = width / 2.0, l / 2.0
     disk_r = math.hypot(width, l) / 2.0
     w_area, w_caps = hit_weights_disk(alpha, r_min, disk_r)
     total_weight = w_area + w_caps
     rng = np.random.default_rng(np.uint64(derive_seed(master_seed, 0)))
     data = _sample_hit_sticks(rng, alpha, disk_r, r_min, n_trials)
-    sx = data[:, 0] + cx
-    sy = data[:, 1] + cy
-    radii = data[:, 2]
-    ex = np.cos(data[:, 3])
-    ey = np.sin(data[:, 3])
-    crossings = 0
+    data[:, 0] += width / 2.0
+    data[:, 1] += l / 2.0
+    segs = sticks_to_segments(data)
     # stick meets both {0} x [0, l] and {kl} x [0, l]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_left = np.where(ex != 0, (0.0 - sx) / np.where(ex != 0, ex, 1.0), np.inf)
-        t_right = np.where(ex != 0, (width - sx) / np.where(ex != 0, ex, 1.0), np.inf)
-    y_left = sy + t_left * ey
-    y_right = sy + t_right * ey
-    hit_left = (np.abs(t_left) <= radii) & (y_left >= 0.0) & (y_left <= l)
-    hit_right = (np.abs(t_right) <= radii) & (y_right >= 0.0) & (y_right <= l)
-    crossings = int(np.count_nonzero(hit_left & hit_right))
+    crossings = int(np.count_nonzero(
+        _hits_vertical(segs, 0.0, 0.0, l) & _hits_vertical(segs, width, 0.0, l)
+    ))
     frac = crossings / n_trials
     se_frac = math.sqrt(max(frac * (1.0 - frac), 0.0) / n_trials)
     mu_hat = total_weight * frac

@@ -99,7 +99,10 @@ class Configuration:
 
 
 def hit_weights_disk(alpha: float, r: float, a: float) -> tuple[float, float]:
-    """Area and perimeter components of the disk hit measure (per unit u)."""
+    """Area and perimeter components of the disk hit measure (per unit u).
+
+    The truncation radius ``r`` may be an array; the components follow it.
+    """
     if alpha <= 1:
         raise InfiniteMeasureError(
             f"disk hit measure is infinite for alpha <= 1 (alpha={alpha})"
@@ -227,12 +230,9 @@ def apply_homothety(c: Configuration, ratio: float) -> Configuration:
 
 def radius_marginal_cdf(alpha: float, a: float, r_min: float, x):
     """CDF of the stick half-length among sticks hitting a disk of radius a."""
-    w_area, w_caps = hit_weights_disk(alpha, r_min, a)
+    total = sum(hit_weights_disk(alpha, r_min, a))
     x = np.asarray(x, dtype=float)
-    surv = (
-        math.pi * a * a * np.maximum(x, r_min) ** (-alpha)
-        + 4.0 * a * (alpha / (alpha - 1.0)) * np.maximum(x, r_min) ** (1.0 - alpha)
-    ) / (w_area + w_caps)
+    surv = sum(hit_weights_disk(alpha, np.maximum(x, r_min), a)) / total
     return np.where(x < r_min, 0.0, 1.0 - surv)
 
 

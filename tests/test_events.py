@@ -8,6 +8,7 @@ from sticksoup.events import (
     _clip_to_region,
     arm_event,
     covered_components,
+    double_circle_crossers,
     double_intersection_count,
     event_record,
     invasion_sequence,
@@ -23,6 +24,7 @@ from sticksoup.geometry import (
     radial_interval,
     sticks_to_segments,
 )
+from sticksoup.seeds import derive_seed
 from sticksoup.soup import (
     Configuration,
     DiskWindow,
@@ -250,6 +252,43 @@ class TestDoubleIntersection:
     def test_circle_must_fit_window(self):
         with pytest.raises(ValueError):
             double_intersection_count(cfg_from([], window_radius=0.5), 1.0)
+
+    @pytest.mark.parametrize("row, expected", [
+        ([0.0, 1.0, 1.0, 0.0], False),    # tangent at (0, 1)
+        ([1.0, 0.0, 2.0, 0.0], True),     # endpoint (-1, 0) on the circle
+        ([-0.5, 0.0, 0.5, 0.0], False),   # endpoint on the circle, other inside
+        ([0.0, 0.0, 1.0, 0.0], True),     # diameter, both endpoints on it
+        ([0.0, 0.0, 0.5, 0.3], False),    # inside, no crossing
+    ])
+    def test_crossers_hand_built(self, row, expected):
+        assert double_circle_crossers(np.array([row]), 0.0, 0.0, 1.0).tolist() == [
+            expected
+        ]
+
+    def test_pinned_sampled_sum(self):
+        # the first 500 configurations of acceptance criterion 3, recorded
+        # before the crossing test became the shared line-circle kernel
+        window = DiskWindow(Point(0.0, 0.0), 1.0)
+        total = sum(
+            double_intersection_count(
+                sample_configuration(PARAMS, window, 0.25, derive_seed(303, i, 0)), 1.0
+            )
+            for i in range(500)
+        )
+        assert total == 2988
+
+
+@pytest.mark.parametrize("check", [
+    lambda c: double_intersection_count(c, 8.0),
+    lambda c: invasion_sequence(c, 3),
+    lambda c: y_statistic(c, 3),
+], ids=["double_intersection_count", "invasion_sequence", "y_statistic"])
+def test_window_containment_boundary(check):
+    """A region of radius 8 fits a window of radius exactly 8 but not one of
+    radius 8 / (1 + 1e-8)."""
+    check(cfg_from([], window_radius=8.0, r_min=0.25))
+    with pytest.raises(ValueError, match="exceeds the sampling window"):
+        check(cfg_from([], window_radius=8.0 / (1.0 + 1e-8), r_min=0.25))
 
 
 class TestInvasion:

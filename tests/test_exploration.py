@@ -254,6 +254,16 @@ def test_golden_walk(seed):
     assert (res.outcome, digest, res.edge_labels) == GOLDEN_WALKS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(GOLDEN_WALKS))
+def test_sticks_touched_in_walk_order(seed):
+    labels = GOLDEN_WALKS[seed][2]
+    window = DiskWindow(UNIT_BOX.center(), UNIT_BOX.diagonal() / 2.0)
+    cfg = sample_configuration(SoupParams(0.3, 2.0, seed), window, 0.08, seed)
+    res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
+    assert res.sticks_touched == list(dict.fromkeys(x for x in labels if x >= 0))
+    assert all(type(x) is int for x in res.sticks_touched + res.edge_labels)
+
+
 class TestTraceBasics:
     def test_empty_box_bottom_crossing(self):
         res = trace_exploration(build_arrangement(cfg_from([]), UNIT_BOX))

@@ -75,23 +75,22 @@ class TestDoubleCircle:
 
         short = integrate.quad(g, 0, 1, weight="alg", wvar=(2 - alpha, 0), limit=400)[0]
         oracle = short + 4 * alpha / (alpha - 1) - math.pi
-        assert mu_double_circle(alpha) == pytest.approx(oracle, rel=1e-6)
+        assert mu_double_circle(alpha) == pytest.approx(oracle, rel=1e-10)
 
     def test_numeric_branch_continuous_at_two(self):
-        assert mu_double_circle(2.0 + 1e-7) == pytest.approx(2 * math.pi, rel=1e-3)
+        for alpha in (2.0 - 1e-7, 2.0 + 1e-7):
+            assert mu_double_circle(alpha) == pytest.approx(2 * math.pi, rel=1e-6)
 
-    def test_quadrature_branch_reproduces_exact_value(self):
-        # run the numeric machinery at alpha = 2, bypassing the closed form
-        from sticksoup.measures import _adaptive_simpson, _double_hit_integrand_theta
-
-        delta = 1e-6
-        head = (2 * 2.0 / 3.0) * delta ** (3.0 - 2.0) / (3.0 - 2.0)
-        short = head + _adaptive_simpson(
-            lambda th: _double_hit_integrand_theta(th, 2.0), delta, math.pi / 2, 1e-10
-        )
-        total = short + (4 * 2.0 / (2.0 - 1.0) - math.pi)
-        assert total == pytest.approx(2 * math.pi, abs=1e-9)
-        assert short == pytest.approx(3 * math.pi - 8, abs=1e-9)
+    # 400-digit mpmath quadrature of the short-stick integral plus the
+    # long-stick part 4 alpha / (alpha - 1) - pi
+    @pytest.mark.parametrize("alpha, value", [
+        (1.3, 14.751148462824321342),
+        (1.8, 6.9362547962101393446),
+        (2.5, 6.9921534781123194946),
+        (2.9, 22.477315086821097137),
+    ])
+    def test_high_precision_values(self, alpha, value):
+        assert mu_double_circle(alpha) == pytest.approx(value, rel=1e-13)
 
 
 class TestAnnulusBounds:
@@ -162,6 +161,10 @@ class TestLr1Measure:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             lr1_measure(2.0, 1.0, 1.0, 0)
+
+    def test_pinned_success_count(self):
+        # recorded before the vertical-side test became the shared kernel
+        assert lr1_measure(2.0, 1.0, 2.0, 20000, master_seed=7).successes == 461
 
     def test_probability_field(self):
         rep = lr1_measure(2.0, 1.0, 1.0, 5000, u=2.0, master_seed=3)
