@@ -4,6 +4,10 @@ and SVG rendering.
 Outputs are byte-reproducible: no timestamps, sorted JSON keys, and every
 report echoes the fully resolved run configuration.  Exit codes: 0 success,
 1 runtime or degeneracy failure, 2 argument errors.
+
+Each command is one entry of ``_COMMANDS``: the flags it reads, the ones it
+requires and its handler.  The parser, the ``--config`` merge, the required
+check and the echoed configuration all come from that table.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from . import __version__
 from .estimators import (
@@ -58,8 +64,55 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
+# every flag "--<name>" and its add_argument keywords; no type means a string
+_FLAGS: dict[str, dict] = {
+    "config": {"help": "key = value file"},
+    "u": {"type": float},
+    "alpha": {"type": float, "default": 2.0},
+    "rmin": {"type": float},
+    "seed": {"type": int, "default": 0},
+    "trials": {"type": int},
+    "out": {},
+    "window-radius": {"type": float},
+    "window-cx": {"type": float, "default": 0.0},
+    "window-cy": {"type": float, "default": 0.0},
+    "box": {"nargs": 4, "type": float, "metavar": ("X0", "Y0", "X1", "Y1")},
+    "svg": {},
+    "csv": {},
+    "l1": {"type": float},
+    "l2": {"type": float},
+    "scan-mmax": {"type": int, "dest": "mmax", "metavar": "SCAN_MMAX"},
+    "mmax": {"type": int},
+    "l": {"type": float},
+    "k": {"type": float},
+    "balls": {"help": "x,y,r;x,y,r;..."},
+    "r": {"type": float},
+    "t": {"type": float},
+    "shape": {"choices": ["segment", "ball"]},
+    "size": {"type": float},
+    "range": {"choices": ["atleast", "below"]},
+    "m": {"type": int},
+    "domination": {"action": "store_true",
+                   "help": "paired first-gap domination check instead of raw records"},
+    "in": {"dest": "infile"},
+    "trace": {"action": "store_true"},
+}
+
+# flags that name files rather than describe the run; the report does not echo them
+_NOT_ECHOED = {"config", "out", "csv", "svg", "in"}
+
+
+def _dest(name: str) -> str:
+    return _FLAGS[name].get("dest", name.replace("-", "_"))
+
+
+def _config_flags(cmd: _Command, path: str) -> list[str]:
+    """The ``key = value`` lines of a --config file as flags of ``cmd``.
+
+    Keys are flag names, spelled with ``-`` or ``_``.  A key the command does
+    not read, and a switch, is skipped, so one file can serve several commands.
+    """
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -68,37 +121,14 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line (want key = value): {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-# types of config-file keys (mirror the flag spellings with - replaced by _)
-_OPTION_TYPES: dict[str, type] = {
-    "u": float, "alpha": float, "rmin": float, "seed": int, "trials": int,
-    "window_radius": float, "window_cx": float, "window_cy": float,
-    "l1": float, "l2": float, "l": float, "k": float, "m": int,
-    "mmax": int, "scan_mmax": int, "r": float, "t": float, "size": float,
-    "out": str, "csv": str, "svg": str, "infile": str, "balls": str,
-    "shape": str, "range_kind": str,
-}
-
-
-def _parse_box(raw: str) -> list[float]:
-    return [float(v) for v in raw.replace(",", " ").split()]
-
-
-def _merge_config(args: argparse.Namespace):
-    """Fill unset arguments from the --config file; explicit flags win."""
-    file_values = _read_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue
-        if key == "box":
-            setattr(args, key, _parse_box(raw))
-        elif key == "k" and args.command == "estimate" and getattr(args, "estimator", "") == "h1":
-            setattr(args, key, int(raw))
-        else:
-            setattr(args, key, _OPTION_TYPES.get(key, str)(raw))
+            name = key.strip().replace("_", "-")
+            if name == "config" or name not in cmd.options.split() or "action" in _FLAGS[name]:
+                continue
+            if "nargs" in _FLAGS[name]:
+                flags += ["--" + name, *value.replace(",", " ").split()]
+            else:
+                flags.append(f"--{name}={value.strip()}")
+    return flags
 
 
 def _common_output(config: dict, result) -> str:
@@ -116,19 +146,16 @@ def _write(path: str | None, payload: str):
             fh.write(payload)
 
 
-def _need(args, *keys):
-    missing = [k for k in keys if getattr(args, k, None) is None]
+def _need(args, *names):
+    missing = [name for name in names if getattr(args, _dest(name)) is None]
     if missing:
         raise ValueError(
-            "missing required option(s): "
-            + ", ".join("--" + k.replace("_", "-") for k in missing)
+            "missing required option(s): " + ", ".join("--" + name for name in missing)
         )
 
 
-def _window(args) -> DiskWindow:
-    cx = args.window_cx if args.window_cx is not None else 0.0
-    cy = args.window_cy if args.window_cy is not None else 0.0
-    return DiskWindow(Point(cx, cy), args.window_radius)
+def _params(args) -> SoupParams:
+    return SoupParams(args.u, args.alpha, args.seed)
 
 
 def _box_from(args) -> Box:
@@ -176,284 +203,115 @@ def render_svg(c: Configuration | None, path, box: Box, out: str) -> None:
     _write(out, "\n".join(lines) + "\n</svg>\n")
 
 
-def _add_soup_options(p, window=True):
-    p.add_argument("--config", type=str, default=None, help="key = value file")
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--rmin", dest="rmin", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    if window:
-        p.add_argument("--window-radius", dest="window_radius", type=float, default=None)
-        p.add_argument("--window-cx", dest="window_cx", type=float, default=None)
-        p.add_argument("--window-cy", dest="window_cy", type=float, default=None)
-
-
-def _fill_defaults(args):
-    if getattr(args, "alpha", None) is None:
-        args.alpha = 2.0
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
-    # the box-crossing threshold intensity is unknown; warn rather than validate
-    if getattr(args, "u", None) is not None and args.u > 0.5:
-        print(
-            f"note: u = {args.u} may be above the crossing-property regime "
-            "(u <= 0.5 suggested)",
-            file=sys.stderr,
-        )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(prog="sticksoup")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", parents=[], help="sample a configuration to JSONL")
-    _add_soup_options(p)
-
-    p = sub.add_parser("trace", help="sample, trace a box exploration, emit JSON")
-    _add_soup_options(p, window=False)
-    p.add_argument("--box", nargs=4, type=float, default=None, metavar=("X0", "Y0", "X1", "Y1"))
-    p.add_argument("--svg", type=str, default=None)
-
-    p = sub.add_parser("estimate", help="Monte Carlo estimators")
-    est = p.add_subparsers(dest="estimator", required=True)
-
-    q = est.add_parser("arm")
-    _add_soup_options(q)
-    q.add_argument("--l1", type=float, default=None)
-    q.add_argument("--l2", type=float, default=None)
-    q.add_argument("--scan-mmax", dest="scan_mmax", type=int, default=None)
-    q.add_argument("--csv", type=str, default=None)
-
-    q = est.add_parser("h1")
-    _add_soup_options(q, window=False)
-    q.add_argument("--k", type=int, default=None)
-    q.add_argument("--mmax", dest="mmax", type=int, default=None)
-    q.add_argument("--csv", type=str, default=None)
-
-    q = est.add_parser("lr1")
-    _add_soup_options(q, window=False)
-    q.add_argument("--l", type=float, default=None)
-    q.add_argument("--k", type=float, default=None)
-
-    q = est.add_parser("crossing")
-    _add_soup_options(q, window=False)
-    q.add_argument("--box", nargs=4, type=float, default=None, metavar=("X0", "Y0", "X1", "Y1"))
-
-    q = est.add_parser("correlation")
-    _add_soup_options(q, window=False)
-    q.add_argument("--l1", type=float, default=None)
-    q.add_argument("--l2", type=float, default=None)
-
-    q = est.add_parser("void")
-    _add_soup_options(q, window=False)
-    q.add_argument("--balls", type=str, default=None, help="x,y,r;x,y,r;...")
-
-    p = sub.add_parser("verify", help="closed-form cross-checks")
-    ver = p.add_subparsers(dest="check", required=True)
-
-    q = ver.add_parser("parker-cowan")
-    _add_soup_options(q)
-    q.add_argument("--r", type=float, default=None)
-    q.add_argument("--t", type=float, default=None)
-
-    q = ver.add_parser("double-circle")
-    q.add_argument("--config", type=str, default=None)
-    q.add_argument("--alpha", type=float, default=None)
-    q.add_argument("--out", type=str, default=None)
-
-    q = ver.add_parser("mu-hit")
-    q.add_argument("--config", type=str, default=None)
-    q.add_argument("--alpha", type=float, default=None)
-    q.add_argument("--shape", choices=["segment", "ball"], default=None)
-    q.add_argument("--size", type=float, default=None)
-    q.add_argument("--range", dest="range_kind", choices=["atleast", "below"], default=None)
-    q.add_argument("--r", type=float, default=None)
-    q.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("invasion", help="annulus-skipping records")
-    _add_soup_options(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--domination", action="store_true",
-                   help="paired first-gap domination check instead of raw records")
-
-    p = sub.add_parser("render", help="render a sampled configuration as SVG")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--in", dest="infile", type=str, default=None)
-    p.add_argument("--box", nargs=4, type=float, default=None, metavar=("X0", "Y0", "X1", "Y1"))
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--trace", action="store_true")
-    return parser
-
-
-def _cmd_sample(args) -> int:
-    _need(args, "u", "rmin", "window_radius")
-    params = SoupParams(args.u, args.alpha, args.seed)
-    cfg = sample_configuration(params, _window(args), args.rmin, args.seed)
+def _sample(args) -> None:
+    window = DiskWindow(Point(args.window_cx, args.window_cy), args.window_radius)
+    cfg = sample_configuration(_params(args), window, args.rmin, args.seed)
     _write(args.out, configuration_to_jsonl(cfg))
-    return 0
 
 
-def _cmd_trace(args) -> int:
-    _need(args, "u", "rmin", "box")
+def _trace(args) -> dict:
     box = _box_from(args)
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
-    params = SoupParams(args.u, args.alpha, args.seed)
-    cfg = sample_configuration(params, window, args.rmin, args.seed)
+    cfg = sample_configuration(_params(args), window, args.rmin, args.seed)
     res = trace_exploration(build_arrangement(cfg, box))
-    config = {
-        "command": "trace", "u": args.u, "alpha": args.alpha, "rmin": args.rmin,
-        "seed": args.seed, "box": list(args.box),
-    }
-    result = {
+    if args.svg:
+        render_svg(cfg, res, box, args.svg)
+    return {
         "outcome": res.outcome,
         "n_sticks": cfg.n_sticks,
         "vertices": [[float(x), float(y)] for x, y in res.path.coords],
     }
-    _write(args.out, _common_output(config, result))
-    if args.svg:
-        render_svg(cfg, res, box, args.svg)
-    return 0
 
 
-def _cmd_estimate(args) -> int:
-    if args.estimator == "arm":
-        _need(args, "u", "rmin", "trials")
-        params = SoupParams(args.u, args.alpha, args.seed)
-        if args.scan_mmax is not None:
-            rep = arm_decay_scan(params, args.rmin, args.scan_mmax, args.trials, args.seed)
-            if args.csv:
-                _write(args.csv, rep.to_csv())
-            config = {"command": "estimate arm scan", "u": args.u, "alpha": args.alpha,
-                      "rmin": args.rmin, "mmax": args.scan_mmax,
-                      "trials": args.trials, "seed": args.seed}
-            _write(args.out, _common_output(config, rep.to_json_dict()))
-            return 0
-        _need(args, "l1", "l2", "window_radius")
-        ann = Annulus(Point(0.0, 0.0), args.l1, args.l2)
-        rep = estimate_probability(
-            ArmEventSpec(ann), params, _window(args), args.rmin, args.trials, args.seed
-        )
-        config = {"command": "estimate arm", "u": args.u, "alpha": args.alpha,
-                  "rmin": args.rmin, "l1": args.l1, "l2": args.l2,
-                  "window_radius": args.window_radius, "trials": args.trials,
-                  "seed": args.seed}
-        _write(args.out, _common_output(config, rep.to_json_dict()))
-        return 0
-    if args.estimator == "h1":
-        _need(args, "u", "rmin", "trials", "k", "mmax")
-        params = SoupParams(args.u, args.alpha, args.seed)
-        rep = h1_scan(params, args.rmin, args.k, args.mmax, args.trials, args.seed)
+def _estimate_arm(args) -> dict:
+    params = _params(args)
+    if args.mmax is not None:
+        args.command += " scan"
+        rep = arm_decay_scan(params, args.rmin, args.mmax, args.trials, args.seed)
         if args.csv:
             _write(args.csv, rep.to_csv())
-        config = {"command": "estimate h1", "u": args.u, "alpha": args.alpha,
-                  "rmin": args.rmin, "k": args.k, "mmax": args.mmax,
-                  "trials": args.trials, "seed": args.seed}
-        _write(args.out, _common_output(config, rep.to_json_dict()))
-        return 0
-    if args.estimator == "lr1":
-        _need(args, "u", "l", "k", "trials")
-        rep = lr1_measure(args.alpha, args.l, args.k, args.trials, args.u, args.seed)
-        config = {"command": "estimate lr1", "u": args.u, "alpha": args.alpha,
-                  "l": args.l, "k": args.k, "trials": args.trials, "seed": args.seed}
-        _write(args.out, _common_output(config, rep.to_json_dict()))
-        return 0
-    if args.estimator == "crossing":
-        _need(args, "u", "rmin", "trials", "box")
-        params = SoupParams(args.u, args.alpha, args.seed)
-        box = _box_from(args)
-        window = DiskWindow(box.center(), box.diagonal() / 2.0)
-        rep = estimate_probability(
-            CrossingEventSpec(box), params, window, args.rmin, args.trials, args.seed
-        )
-        config = {"command": "estimate crossing", "u": args.u, "alpha": args.alpha,
-                  "rmin": args.rmin, "box": list(args.box), "trials": args.trials,
-                  "seed": args.seed}
-        _write(args.out, _common_output(config, rep.to_json_dict()))
-        return 0
-    if args.estimator == "correlation":
-        _need(args, "u", "rmin", "trials", "l1", "l2")
-        params = SoupParams(args.u, args.alpha, args.seed)
-        rep = correlation_estimate(
-            hits_disk_event(args.l1), crosses_circle_event(args.l2),
-            params, args.rmin, args.trials, args.seed,
-        )
-        config = {"command": "estimate correlation", "u": args.u, "alpha": args.alpha,
-                  "rmin": args.rmin, "l1": args.l1, "l2": args.l2,
-                  "trials": args.trials, "seed": args.seed}
-        result = {
-            "cov_estimate": rep.cov_estimate, "std_error": rep.std_error,
-            "bound": rep.bound, "p1": rep.p1, "p2": rep.p2,
-            "degenerate": rep.degenerate,
-        }
-        _write(args.out, _common_output(config, result))
-        return 0
-    if args.estimator == "void":
-        _need(args, "u", "rmin", "trials", "balls")
-        params = SoupParams(args.u, args.alpha, args.seed)
-        balls = []
-        for part in args.balls.split(";"):
-            x, y, r = (float(v) for v in part.split(","))
-            balls.append(((x, y), r))
-        rep = property_void_scan(params, args.rmin, balls, args.trials, args.seed)
-        config = {"command": "estimate void", "u": args.u, "alpha": args.alpha,
-                  "rmin": args.rmin, "balls": args.balls, "trials": args.trials,
-                  "seed": args.seed}
-        _write(args.out, _common_output(config, rep.to_json_dict()))
-        return 0
-    raise ValueError(f"unknown estimator {args.estimator}")
+        return rep.to_json_dict()
+    _need(args, "l1", "l2", "window-radius")
+    ann = Annulus(Point(0.0, 0.0), args.l1, args.l2)
+    window = DiskWindow(Point(0.0, 0.0), args.window_radius)
+    rep = estimate_probability(
+        ArmEventSpec(ann), params, window, args.rmin, args.trials, args.seed
+    )
+    return rep.to_json_dict()
 
 
-def _cmd_verify(args) -> int:
-    if args.check == "parker-cowan":
-        _need(args, "u", "r", "t", "trials")
-        if args.window_radius is None:
-            args.window_radius = 1.0
-        params = SoupParams(args.u, args.alpha, args.seed)
-        rep = parker_cowan_check(
-            params, _window(args), args.r, args.t, args.trials, args.seed
-        )
-        config = {"command": "verify parker-cowan", "u": args.u, "alpha": args.alpha,
-                  "r": args.r, "t": args.t, "window_radius": args.window_radius,
-                  "trials": args.trials, "seed": args.seed}
-        result = {"empirical_mean": rep.empirical_mean, "std_error": rep.std_error,
-                  "oracle": rep.oracle, "z_score": rep.z_score}
-        _write(args.out, _common_output(config, result))
-        return 0
-    if args.check == "double-circle":
-        _need(args, "alpha")
-        val = mu_double_circle(args.alpha)
-        config = {"command": "verify double-circle", "alpha": args.alpha}
-        result = {"value": "infinite" if math.isinf(val) else val}
-        _write(args.out, _common_output(config, result))
-        return 0
-    if args.check == "mu-hit":
-        _need(args, "alpha", "shape", "size", "range_kind", "r")
-        shape = SegmentShape(args.size) if args.shape == "segment" else BallShape(args.size)
-        rng = RadiusAtLeast(args.r) if args.range_kind == "atleast" else RadiusBelow(args.r)
-        val = mu_hit(args.alpha, shape, rng)
-        config = {"command": "verify mu-hit", "alpha": args.alpha, "shape": args.shape,
-                  "size": args.size, "range": args.range_kind, "r": args.r}
-        result = {"value": "infinite" if math.isinf(val) else val}
-        _write(args.out, _common_output(config, result))
-        return 0
-    raise ValueError(f"unknown check {args.check}")
+def _estimate_h1(args) -> dict:
+    rep = h1_scan(_params(args), args.rmin, args.k, args.mmax, args.trials, args.seed)
+    if args.csv:
+        _write(args.csv, rep.to_csv())
+    return rep.to_json_dict()
 
 
-def _cmd_invasion(args) -> int:
-    _need(args, "u", "rmin", "m")
+def _estimate_lr1(args) -> dict:
+    rep = lr1_measure(args.alpha, args.l, args.k, args.trials, args.u, args.seed)
+    return rep.to_json_dict()
+
+
+def _estimate_crossing(args) -> dict:
+    params = _params(args)
+    box = _box_from(args)
+    window = DiskWindow(box.center(), box.diagonal() / 2.0)
+    rep = estimate_probability(
+        CrossingEventSpec(box), params, window, args.rmin, args.trials, args.seed
+    )
+    return rep.to_json_dict()
+
+
+def _estimate_correlation(args) -> dict:
+    rep = correlation_estimate(
+        hits_disk_event(args.l1), crosses_circle_event(args.l2),
+        _params(args), args.rmin, args.trials, args.seed,
+    )
+    return {
+        "cov_estimate": rep.cov_estimate, "std_error": rep.std_error,
+        "bound": rep.bound, "p1": rep.p1, "p2": rep.p2,
+        "degenerate": rep.degenerate,
+    }
+
+
+def _estimate_void(args) -> dict:
+    params = _params(args)
+    balls = []
+    for part in args.balls.split(";"):
+        x, y, r = (float(v) for v in part.split(","))
+        balls.append(((x, y), r))
+    rep = property_void_scan(params, args.rmin, balls, args.trials, args.seed)
+    return rep.to_json_dict()
+
+
+def _verify_parker_cowan(args) -> dict:
+    window = DiskWindow(Point(0.0, 0.0), args.window_radius)
+    rep = parker_cowan_check(_params(args), window, args.r, args.t, args.trials, args.seed)
+    return {"empirical_mean": rep.empirical_mean, "std_error": rep.std_error,
+            "oracle": rep.oracle, "z_score": rep.z_score}
+
+
+def _verify_double_circle(args) -> dict:
+    val = mu_double_circle(args.alpha)
+    return {"value": "infinite" if math.isinf(val) else val}
+
+
+def _verify_mu_hit(args) -> dict:
+    shape = SegmentShape(args.size) if args.shape == "segment" else BallShape(args.size)
+    rng = RadiusAtLeast(args.r) if args.range == "atleast" else RadiusBelow(args.r)
+    val = mu_hit(args.alpha, shape, rng)
+    return {"value": "infinite" if math.isinf(val) else val}
+
+
+def _invasion(args):
     if args.domination:
         _need(args, "trials")
-    params = SoupParams(args.u, args.alpha, args.seed)
-    n_trials = args.trials if args.trials is not None else 1
-    config = {"command": "invasion", "u": args.u, "alpha": args.alpha,
-              "rmin": args.rmin, "m": args.m, "trials": n_trials, "seed": args.seed,
-              "domination": bool(args.domination)}
+    if args.trials is None:
+        args.trials = 1
+    params = _params(args)
     if args.domination:
-        rep = invasion_domination_check(params, args.m, args.rmin, n_trials, args.seed)
-        result = {
+        rep = invasion_domination_check(params, args.m, args.rmin, args.trials, args.seed)
+        return {
             "t_values": rep.t_values,
             "mean_invasion_sums": rep.mean_invasion_sums,
             "mean_iid_sums": rep.mean_iid_sums,
@@ -462,22 +320,15 @@ def _cmd_invasion(args) -> int:
             "dominated": rep.dominated,
             "truncated_records": rep.truncated_records,
         }
-        _write(args.out, _common_output(config, result))
-        return 0
-    radius = args.window_radius if args.window_radius is not None else 2.0 ** args.m
-    window = DiskWindow(Point(0.0, 0.0), radius)
-
-    def record(cfg):
-        rec = invasion_sequence(cfg, args.m)
-        return {"m": rec.m, "I": rec.I, "L": rec.L, "T": rec.T, "truncated": rec.truncated}
-
-    records, _ = run_trials(params, window, args.rmin, n_trials, args.seed, record)
-    _write(args.out, _common_output(config, records))
-    return 0
+    window = DiskWindow(Point(0.0, 0.0), 2.0 ** args.m)
+    records, _ = run_trials(
+        params, window, args.rmin, args.trials, args.seed,
+        lambda cfg: asdict(invasion_sequence(cfg, args.m)),
+    )
+    return records
 
 
-def _cmd_render(args) -> int:
-    _need(args, "infile", "box", "out")
+def _render(args) -> None:
     with open(args.infile, "r", encoding="utf-8") as fh:
         cfg = configuration_from_jsonl(fh)
     box = _box_from(args)
@@ -485,7 +336,80 @@ def _cmd_render(args) -> int:
     if args.trace:
         res = trace_exploration(build_arrangement(cfg, box))
     render_svg(cfg, res, box, args.out)
-    return 0
+
+
+@dataclass(frozen=True)
+class _Command:
+    name: str  # the words that select it, e.g. "estimate h1"
+    handler: Callable  # args -> the report's result, or None if it writes its own output
+    options: str  # the flags it reads, in --help order
+    required: str = ""
+    help: str | None = None
+    overrides: dict = field(default_factory=dict)  # flag -> add_argument keywords
+
+
+_COMMANDS = [
+    _Command("sample", _sample,
+             "config u alpha rmin seed out window-radius window-cx window-cy",
+             required="u rmin window-radius", help="sample a configuration to JSONL"),
+    _Command("trace", _trace, "config u alpha rmin seed out box svg",
+             required="u rmin box", help="sample, trace a box exploration, emit JSON"),
+    _Command("estimate arm", _estimate_arm,
+             "config u alpha rmin seed trials out window-radius l1 l2 scan-mmax csv",
+             required="u rmin trials"),
+    _Command("estimate h1", _estimate_h1, "config u alpha rmin seed trials out k mmax csv",
+             required="u rmin trials k mmax", overrides={"k": {"type": int}}),
+    _Command("estimate lr1", _estimate_lr1, "config u alpha seed trials out l k",
+             required="u l k trials"),
+    _Command("estimate crossing", _estimate_crossing,
+             "config u alpha rmin seed trials out box", required="u rmin trials box"),
+    _Command("estimate correlation", _estimate_correlation,
+             "config u alpha rmin seed trials out l1 l2", required="u rmin trials l1 l2"),
+    _Command("estimate void", _estimate_void, "config u alpha rmin seed trials out balls",
+             required="u rmin trials balls"),
+    _Command("verify parker-cowan", _verify_parker_cowan,
+             "config u alpha seed trials out window-radius r t", required="u r t trials",
+             overrides={"window-radius": {"default": 1.0}}),
+    _Command("verify double-circle", _verify_double_circle, "config alpha out"),
+    _Command("verify mu-hit", _verify_mu_hit, "config alpha shape size range r out",
+             required="shape size range r"),
+    _Command("invasion", _invasion, "config u alpha rmin seed trials out m domination",
+             required="u rmin m", help="annulus-skipping records"),
+    _Command("render", _render, "config in box out trace", required="in box out",
+             help="render a sampled configuration as SVG"),
+]
+
+# command groups: the dest and help of their subcommand choice
+_GROUPS = {
+    "estimate": ("estimator", "Monte Carlo estimators"),
+    "verify": ("check", "closed-form cross-checks"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _CliParser(prog="sticksoup")
+    parser.add_argument("--version", action="version", version=__version__)
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for cmd in _COMMANDS:
+        group, _, leaf = cmd.name.rpartition(" ")
+        if group not in subparsers:
+            dest, text = _GROUPS[group]
+            p = subparsers[""].add_parser(group, help=text)
+            subparsers[group] = p.add_subparsers(dest=dest, required=True)
+        p = subparsers[group].add_parser(leaf, **({"help": cmd.help} if cmd.help else {}))
+        for name in cmd.options.split():
+            p.add_argument("--" + name, **{**_FLAGS[name], **cmd.overrides.get(name, {})})
+        p.set_defaults(cmd=cmd)
+    return parser
+
+
+def _echo(cmd: _Command, args) -> dict:
+    config = {"command": args.command}
+    for name in cmd.options.split():
+        value = getattr(args, _dest(name))
+        if name not in _NOT_ECHOED and value is not None:
+            config[_dest(name)] = value
+    return config
 
 
 def run(argv: list[str]) -> int:
@@ -493,26 +417,26 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        cmd = args.cmd
+        if args.config:
+            # file values go before the command line's own flags, so flags win
+            n = len(cmd.name.split())
+            args = parser.parse_args(argv[:n] + _config_flags(cmd, args.config) + argv[n:])
+        # the box-crossing threshold intensity is unknown; warn rather than validate
+        if getattr(args, "u", None) is not None and args.u > 0.5:
+            print(
+                f"note: u = {args.u} may be above the crossing-property regime "
+                "(u <= 0.5 suggested)",
+                file=sys.stderr,
+            )
+        _need(args, *cmd.required.split())
+        args.command = cmd.name
+        result = cmd.handler(args)
+        if result is not None:
+            _write(args.out, _common_output(_echo(cmd, args), result))
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if getattr(args, "config", None):
-            _merge_config(args)
-        if hasattr(args, "alpha") or hasattr(args, "seed"):
-            _fill_defaults(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "invasion":
-            return _cmd_invasion(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise ValueError(f"unknown command {args.command}")
     except (ValueError, TypeError) as exc:
         print(f"sticksoup: error: {exc}", file=sys.stderr)
         return 2

@@ -426,6 +426,10 @@ def property_void_scan(
     Prefix events are nested per trial, so the estimates are nonincreasing by
     construction; the geometric factor per ball is the report's ``q_hat``.
     """
+    for i, (center, radius) in enumerate(balls):
+        x, y = (center.x, center.y) if isinstance(center, Point) else (center[0], center[1])
+        if not (math.isfinite(x) and math.isfinite(y) and 0 < radius < math.inf):
+            raise ValueError(f"ball {i} needs a finite centre and a finite radius > 0")
     validate_separated(balls)
     if not balls:
         raise ValueError("need at least one ball")

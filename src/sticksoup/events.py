@@ -8,7 +8,6 @@ sample) are exact trial by trial.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -352,11 +351,3 @@ def y_statistic(c: Configuration, j: int) -> int:
         segs, c.window.center.x, c.window.center.y
     )
     return j - _descend_once(dmin, dmax, lo, j)
-
-
-def event_record(event: str, params: dict, seed: int, outcome) -> str:
-    """One JSON line recording an event evaluation."""
-    return json.dumps(
-        {"event": event, "params": params, "seed": seed, "outcome": outcome},
-        sort_keys=True,
-    )

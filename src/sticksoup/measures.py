@@ -53,14 +53,14 @@ def mu_hit(alpha: float, shape, radius_range) -> float:
       R >= r: infinite for alpha <= 1, else pi a^2 r^-alpha
               + 4 (alpha/(alpha-1)) a r^(1-alpha)
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     r = radius_range.r
-    if r <= 0:
+    if not (r > 0):
         raise ValueError(f"radius threshold must be positive, got {r}")
     if isinstance(shape, SegmentShape):
         a = shape.length
-        if a <= 0:
+        if not (a > 0):
             raise ValueError("segment length must be positive")
         if isinstance(radius_range, RadiusAtLeast):
             if alpha <= 1:
@@ -71,7 +71,7 @@ def mu_hit(alpha: float, shape, radius_range) -> float:
         return (4.0 / math.pi) * (alpha / (1.0 - alpha)) * a * r ** (1.0 - alpha)
     if isinstance(shape, BallShape):
         a = shape.radius
-        if a <= 0:
+        if not (a > 0):
             raise ValueError("ball radius must be positive")
         if isinstance(radius_range, RadiusBelow):
             return math.inf
@@ -95,7 +95,7 @@ def mu_double_circle(alpha: float) -> float:
     integrals for alpha < 1 that continues analytically to (0, 3); its
     non-Beta terms cancel the long-stick part 4 alpha/(alpha-1) - pi.
     """
-    if alpha <= 0:
+    if not (alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     if alpha <= 1 or alpha >= 3:
         return math.inf

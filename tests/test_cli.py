@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from sticksoup.cli import run
+from sticksoup.cli import build_parser, run
 
 
 def read(path):
@@ -43,6 +46,52 @@ class TestExitCodes:
         assert run(argv + ["--trials", "0"]) == 2
         assert "n_trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "double-circle", "--alpha", "nan"],
+        ["verify", "mu-hit", "--alpha", "nan", "--shape", "ball", "--size", "1",
+         "--range", "atleast", "--r", "1"],
+        ["verify", "mu-hit", "--alpha", "inf", "--shape", "segment", "--size", "1",
+         "--range", "atleast", "--r", "1"],
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "ball", "--size", "nan",
+         "--range", "atleast", "--r", "1"],
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "segment", "--size", "nan",
+         "--range", "atleast", "--r", "1"],
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "segment", "--size", "1",
+         "--range", "atleast", "--r", "nan"],
+        ["estimate", "void", "--u", "0.2", "--rmin", "0.1", "--balls", "0.2,0.5,nan",
+         "--trials", "5"],
+        ["estimate", "void", "--u", "0.2", "--rmin", "0.1", "--balls", "0.2,0.5,inf",
+         "--trials", "5"],
+        ["estimate", "void", "--u", "0.2", "--rmin", "0.1", "--balls", "nan,0.5,0.1",
+         "--trials", "5"],
+        ["estimate", "void", "--u", "0.2", "--rmin", "0.1", "--balls", "0.2,0.5,0",
+         "--trials", "5"],
+    ], ids=["dc-alpha", "mu-hit-alpha", "mu-hit-inf-alpha", "ball-size", "segment-size", "mu-hit-r",
+            "void-radius", "void-inf-radius", "void-centre", "void-zero-radius"])
+    def test_nan_is_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sticksoup: error: ")
+
+    # the flags no command read; they are gone from the parser
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--trials", "5"],
+        ["trace", "--trials", "5"],
+        ["estimate", "lr1", "--rmin", "0.1"],
+        ["estimate", "arm", "--window-cx", "0"],
+        ["estimate", "arm", "--window-cy", "0"],
+        ["verify", "parker-cowan", "--rmin", "0.1"],
+        ["verify", "parker-cowan", "--window-cx", "0"],
+        ["verify", "parker-cowan", "--window-cy", "0"],
+        ["invasion", "--window-radius", "1"],
+        ["invasion", "--window-cx", "0"],
+        ["invasion", "--window-cy", "0"],
+    ], ids=lambda argv: " ".join(argv[:-1]))
+    def test_removed_flag_is_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
     def test_unfittable_scan_is_1(self, capsys):
         # two trials can never give a row five successes, so no fit exists
         assert run(["estimate", "arm", "--u", "0.15", "--rmin", "0.05",
@@ -76,6 +125,154 @@ class TestSample:
         ha = json.loads(a.read_text().splitlines()[0])
         hb = json.loads(b.read_text().splitlines()[0])
         assert ha["seed"] == 7 and hb["seed"] == 8  # flags win
+
+
+class TestConfigFile:
+    def test_choices_enforced(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("shape = cube\nsize = 1\nrange = atleast\nr = 1\n")
+        assert run(["verify", "mu-hit", "--config", str(conf)]) == 2
+        assert "invalid choice: 'cube'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, conf, flags", [
+        ("verify mu-hit", "alpha = 2\nshape = ball\nsize = 1\nrange = atleast\nr = 1\n",
+         "--alpha 2 --shape ball --size 1 --range atleast --r 1"),
+        ("trace", "u = 0.3\nrmin = 0.08\nseed = 3\nbox = 0, 0, 1, 1\n",
+         "--u 0.3 --rmin 0.08 --seed 3 --box 0 0 1 1"),
+        ("sample", "u = 0.4\nrmin = 0.1\nwindow_radius = 1\nseed = 7\n",
+         "--u 0.4 --rmin 0.1 --window-radius 1 --seed 7"),
+    ], ids=["range", "box", "underscore"])
+    def test_keys_are_flag_names(self, command, conf, flags, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_text(conf)
+        assert run(command.split() + ["--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(command.split() + flags.split()) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_missing_option_names_the_flag(self, capsys):
+        assert run(["render", "--box", "0", "0", "1", "1", "--out", "unused.svg"]) == 2
+        assert capsys.readouterr().err == "sticksoup: error: missing required option(s): --in\n"
+        assert run(["verify", "mu-hit", "--shape", "ball", "--size", "1", "--r", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "sticksoup: error: missing required option(s): --range\n"
+        )
+
+
+# every acceptance-criterion-14 command (trial counts cut, output paths added),
+# and invasion without --trials, with the config its report echoes, recorded
+# before the CLI was table-driven; for sample, the JSONL header
+ECHOES = {
+    "sample": (
+        ["sample", "--u", "0.4", "--rmin", "0.1", "--window-radius", "1", "--seed", "7"],
+        {"alpha": 2.0, "r_min": 0.1, "seed": 7, "u": 0.4, "window_a": 1.0,
+         "window_cx": 0.0, "window_cy": 0.0},
+    ),
+    "trace": (
+        ["trace", "--u", "0.3", "--rmin", "0.08", "--seed", "3", "--box", "0", "0", "1", "1",
+         "--svg", os.devnull],
+        {"alpha": 2.0, "box": [0.0, 0.0, 1.0, 1.0], "command": "trace", "rmin": 0.08,
+         "seed": 3, "u": 0.3},
+    ),
+    "est-arm": (
+        ["estimate", "arm", "--u", "0.3", "--rmin", "0.2", "--l1", "1", "--l2", "2",
+         "--window-radius", "2", "--trials", "8", "--seed", "4"],
+        {"alpha": 2.0, "command": "estimate arm", "l1": 1.0, "l2": 2.0, "rmin": 0.2,
+         "seed": 4, "trials": 8, "u": 0.3, "window_radius": 2.0},
+    ),
+    "est-arm-scan": (
+        ["estimate", "arm", "--u", "0.15", "--rmin", "0.25", "--scan-mmax", "2",
+         "--trials", "60", "--seed", "4", "--csv", os.devnull],
+        {"alpha": 2.0, "command": "estimate arm scan", "mmax": 2, "rmin": 0.25, "seed": 4,
+         "trials": 60, "u": 0.15},
+    ),
+    "est-h1": (
+        ["estimate", "h1", "--u", "0.2", "--rmin", "0.2", "--k", "1", "--mmax", "2",
+         "--trials", "40", "--seed", "5", "--csv", os.devnull],
+        {"alpha": 2.0, "command": "estimate h1", "k": 1, "mmax": 2, "rmin": 0.2, "seed": 5,
+         "trials": 40, "u": 0.2},
+    ),
+    "est-lr1": (
+        ["estimate", "lr1", "--u", "0.5", "--l", "1", "--k", "1", "--trials", "50",
+         "--seed", "2"],
+        {"alpha": 2.0, "command": "estimate lr1", "k": 1.0, "l": 1.0, "seed": 2,
+         "trials": 50, "u": 0.5},
+    ),
+    "est-crossing": (
+        ["estimate", "crossing", "--u", "0.2", "--rmin", "0.1", "--box", "0", "0", "1", "1",
+         "--trials", "4", "--seed", "6"],
+        {"alpha": 2.0, "box": [0.0, 0.0, 1.0, 1.0], "command": "estimate crossing",
+         "rmin": 0.1, "seed": 6, "trials": 4, "u": 0.2},
+    ),
+    "est-corr": (
+        ["estimate", "correlation", "--u", "0.5", "--rmin", "2", "--l1", "1", "--l2", "8",
+         "--trials", "10", "--seed", "6"],
+        {"alpha": 2.0, "command": "estimate correlation", "l1": 1.0, "l2": 8.0,
+         "rmin": 2.0, "seed": 6, "trials": 10, "u": 0.5},
+    ),
+    "est-void": (
+        ["estimate", "void", "--u", "0.2", "--rmin", "0.1",
+         "--balls", "0.2,0.5,0.1;0.7,0.5,0.1", "--trials", "60", "--seed", "2"],
+        {"alpha": 2.0, "balls": "0.2,0.5,0.1;0.7,0.5,0.1", "command": "estimate void",
+         "rmin": 0.1, "seed": 2, "trials": 60, "u": 0.2},
+    ),
+    "verify-pc": (
+        ["verify", "parker-cowan", "--u", "1", "--r", "0.5", "--t", "2", "--trials", "20",
+         "--seed", "1"],
+        {"alpha": 2.0, "command": "verify parker-cowan", "r": 0.5, "seed": 1, "t": 2.0,
+         "trials": 20, "u": 1.0, "window_radius": 1.0},
+    ),
+    "verify-dc": (
+        ["verify", "double-circle", "--alpha", "2.5"],
+        {"alpha": 2.5, "command": "verify double-circle"},
+    ),
+    "verify-mh": (
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "ball", "--size", "1",
+         "--range", "atleast", "--r", "1"],
+        {"alpha": 2.0, "command": "verify mu-hit", "r": 1.0, "range": "atleast",
+         "shape": "ball", "size": 1.0},
+    ),
+    "invasion": (
+        ["invasion", "--u", "1", "--m", "5", "--rmin", "0.25", "--trials", "2", "--seed", "4"],
+        {"alpha": 2.0, "command": "invasion", "domination": False, "m": 5, "rmin": 0.25,
+         "seed": 4, "trials": 2, "u": 1.0},
+    ),
+    "invasion-one-trial": (
+        ["invasion", "--u", "1", "--m", "5", "--rmin", "0.25", "--seed", "4"],
+        {"alpha": 2.0, "command": "invasion", "domination": False, "m": 5, "rmin": 0.25,
+         "seed": 4, "trials": 1, "u": 1.0},
+    ),
+    "inv-dom": (
+        ["invasion", "--u", "1", "--m", "5", "--rmin", "0.5", "--trials", "4", "--seed", "4",
+         "--domination"],
+        {"alpha": 2.0, "command": "invasion", "domination": True, "m": 5, "rmin": 0.5,
+         "seed": 4, "trials": 4, "u": 1.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ECHOES))
+def test_echoed_config(name, capsys):
+    argv, expected = ECHOES[name]
+    assert run(argv) == 0
+    first = json.loads(capsys.readouterr().out.splitlines()[0])
+    echoed = first if name == "sample" else first["config"]
+    # compare the JSON text, so that 1 and 1.0 differ
+    assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line) for line in lines if line.startswith("sticksoup ")]
+    assert len(examples) >= 15
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}")
 
 
 class TestTraceAndRender:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from sticksoup.events import (
     covered_components,
     double_circle_crossers,
     double_intersection_count,
-    event_record,
     invasion_sequence,
     lr1_event,
     y_statistic,
@@ -349,9 +347,3 @@ class TestYStatistic:
             cfg = sample_configuration(PARAMS, window, 0.3, 400 + i)
             rec = invasion_sequence(cfg, 5)
             assert y_statistic(cfg, 5) == rec.L[0]
-
-
-def test_event_record_json_line():
-    line = event_record("arm", {"l1": 1.0}, 7, True)
-    d = json.loads(line)
-    assert d == {"event": "arm", "params": {"l1": 1.0}, "seed": 7, "outcome": True}
