@@ -58,40 +58,64 @@ from .soup import (
 
 
 class _CliParser(argparse.ArgumentParser):
-    def error(self, message):  # usage text on stderr, exit code 2
+    def error(self, message):  # the same first line as run's errors, exit code 2
+        print(f"sticksoup: error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _finite_float(text: str) -> float:
+    """Type of the float flags: NaN and infinities are argument errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _scale_index(text: str) -> int:
+    """Type of the scale flags m: radii 2^m must be finite floats."""
+    try:
+        m = int(text)
+    except ValueError:
+        m = None
+    if m is None or m >= sys.float_info.max_exp:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer below {sys.float_info.max_exp}, got {text!r}"
+        )
+    return m
 
 
 # every flag "--<name>" and its add_argument keywords; no type means a string
 _FLAGS: dict[str, dict] = {
     "config": {"help": "key = value file"},
-    "u": {"type": float},
-    "alpha": {"type": float, "default": 2.0},
-    "rmin": {"type": float},
+    "u": {"type": _finite_float},
+    "alpha": {"type": _finite_float, "default": 2.0},
+    "rmin": {"type": _finite_float},
     "seed": {"type": int, "default": 0},
     "trials": {"type": int},
     "out": {},
-    "window-radius": {"type": float},
-    "window-cx": {"type": float, "default": 0.0},
-    "window-cy": {"type": float, "default": 0.0},
-    "box": {"nargs": 4, "type": float, "metavar": ("X0", "Y0", "X1", "Y1")},
+    "window-radius": {"type": _finite_float},
+    "window-cx": {"type": _finite_float, "default": 0.0},
+    "window-cy": {"type": _finite_float, "default": 0.0},
+    "box": {"nargs": 4, "type": _finite_float, "metavar": ("X0", "Y0", "X1", "Y1")},
     "svg": {},
     "csv": {},
-    "l1": {"type": float},
-    "l2": {"type": float},
-    "scan-mmax": {"type": int, "dest": "mmax", "metavar": "SCAN_MMAX"},
-    "mmax": {"type": int},
-    "l": {"type": float},
-    "k": {"type": float},
+    "l1": {"type": _finite_float},
+    "l2": {"type": _finite_float},
+    "scan-mmax": {"type": _scale_index, "dest": "mmax", "metavar": "SCAN_MMAX"},
+    "mmax": {"type": _scale_index},
+    "l": {"type": _finite_float},
+    "k": {"type": _finite_float},
     "balls": {"help": "x,y,r;x,y,r;..."},
-    "r": {"type": float},
-    "t": {"type": float},
+    "r": {"type": _finite_float},
+    "t": {"type": _finite_float},
     "shape": {"choices": ["segment", "ball"]},
-    "size": {"type": float},
+    "size": {"type": _finite_float},
     "range": {"choices": ["atleast", "below"]},
-    "m": {"type": int},
+    "m": {"type": _scale_index},
     "domination": {"action": "store_true",
                    "help": "paired first-gap domination check instead of raw records"},
     "in": {"dest": "infile"},

@@ -166,7 +166,11 @@ def covered_components(
     both halves end on the inner circle, so this never creates a spurious
     inner-outer connection.
     """
-    segs = sticks_to_segments(sticks)
+    return _segment_components(sticks_to_segments(sticks), region)
+
+
+def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
+    """covered_components of the sticks given as an (n, 4) endpoint array."""
     pieces, owners, touch = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
     n = len(kept)
@@ -213,7 +217,7 @@ def arm_event(c: Configuration, ann: Annulus) -> bool:
     cand = (dmin <= ann.outer) & (dmax >= ann.inner)
     if not np.any(cand):
         return False
-    part = covered_components(c.stick_data[cand], ann)
+    part = _segment_components(segs[cand], ann)
     return part.any_cluster_touching("inner", "outer")
 
 

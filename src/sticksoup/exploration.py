@@ -2,6 +2,8 @@
 
 The box sides and the sticks clipped to the box form a planar subdivision
 with a rotation system (outgoing darts sorted by angle at every vertex).
+Only the connected component of the box boundary is built: the walk moves
+along darts from the bottom side, so the rest of the soup cannot affect it.
 The exploration walk starts on the bottom side at the lower-left corner and
 repeatedly takes the first outgoing dart clockwise from the reverse of the
 incoming dart, which traces the boundary of the face to its left, i.e. keeps
@@ -19,7 +21,8 @@ boundary conditions (bottom covered, left vacant):
 The walk stops on first arrival at a vertex of the right side (a vacant
 left-right crossing exists) or of the top side (a covered bottom-top
 crossing exists).  Each dart is used at most once, so termination is linear
-in the number of darts.
+in the number of darts.  The turn rule is precomputed as a successor per
+dart, and the walk only follows it.
 """
 
 from __future__ import annotations
@@ -74,8 +77,9 @@ def _snap(x: np.ndarray, y: np.ndarray, eps: float):
     B, B near C, C not near A) raises DegeneracyError.
     """
     n = len(x)
-    # collapse exact duplicates; the stable sort keeps the earliest first
-    order = np.lexsort((y, x))
+    # collapse exact duplicates; the stable sort by (x, y) keeps the earliest
+    # first (complex numbers compare by real, then imaginary part)
+    order = np.argsort(x + 1j * y, kind="stable")
     xs, ys = x[order], y[order]
     new = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]
     group = np.empty(n, dtype=np.int64)
@@ -116,15 +120,29 @@ def _snap(x: np.ndarray, y: np.ndarray, eps: float):
         raise DegeneracyError(f"chained near-coincident points at ({x[p]}, {y[p]})")
     founder = np.full(n_comp, n, dtype=np.int64)
     np.minimum.at(founder, comp, first)
-    founders = np.sort(founder)
-    return np.searchsorted(founders, founder)[comp[group]], founders
+    # vertices are numbered by founder
+    is_founder = np.zeros(n, dtype=bool)
+    is_founder[founder] = True
+    return (np.cumsum(is_founder) - 1)[founder][comp[group]], np.flatnonzero(is_founder)
+
+
+def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
+    """``np.lexsort((minor, major))`` for a non-negative integer ``major``,
+    bit for bit and ties included: the stable rank of ``minor`` folds the two
+    keys into one key that no two elements share."""
+    n = len(minor)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(minor, kind="stable")] = np.arange(n)
+    return np.argsort(major * n + rank)
 
 
 @dataclass
 class Arrangement:
     """Planar subdivision with twin darts and per-vertex rotation order.
 
-    The rotation system is stored flat: ``rotation`` holds every dart id
+    It holds the box sides and the clipped sticks in their connected
+    component; ``stick_ids`` and ``clipped`` list only those sticks.  The
+    rotation system is stored flat: ``rotation`` holds every dart id
     sorted by (origin, angle), and the wheel of vertex v is
     ``rotation[rot_start[v]:rot_start[v + 1]]``.
     """
@@ -143,8 +161,8 @@ class Arrangement:
     on_top: np.ndarray
     on_bottom: np.ndarray
     start_dart: int
-    stick_ids: np.ndarray          # (m,) index of each clipped stick
-    clipped: np.ndarray            # (m, 4) the sticks clipped to the box
+    stick_ids: np.ndarray          # (m,) index of each stick in the arrangement
+    clipped: np.ndarray            # (m, 4) those sticks clipped to the box
 
     @functools.cached_property
     def stick_segments(self) -> dict[int, Segment]:
@@ -171,8 +189,19 @@ class Arrangement:
 
 
 def build_arrangement(c: Configuration, b: Box) -> Arrangement:
-    """Clip the sticks to the box, split everything at mutual intersections
-    and assemble the rotation system (including the four box sides)."""
+    """Clip the sticks to the box, split the ones the walk can reach at their
+    mutual intersections and assemble the rotation system (including the four
+    box sides).
+
+    Only the connected component of the bottom side in the intersection graph
+    of the box sides and the clipped sticks is built: the walk starts on the
+    bottom side and moves along darts, so it never leaves that component.  The
+    sides meet at the corners, so the component holds the whole box boundary.
+    Degeneracy checks cover that component only.  The vertex snap can also
+    merge points of two segments the narrow phase does not report as a hit
+    (nearly parallel tips within eps); such a contact with a segment outside
+    the component is dropped together with that segment.
+    """
     c.window.require_contains(b.center(), b.diagonal() / 2.0)
 
     eps = REL_EPS * max(b.diagonal(), 1.0)
@@ -191,35 +220,45 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     labels = np.concatenate([side_labels, stick_ids])
     n_segs = len(segs)
 
+    I, J = candidate_pairs(segs)
+    hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
+    I, J, hx, hy, overlap = I[hits], J[hits], px[hits], py[hits], overlap[hits]
+    # the component of the bottom side (segment 0); new ids keep the old order
+    _, comp = connected_components(
+        coo_matrix((np.ones(len(I)), (I, J)), shape=(n_segs, n_segs)), directed=False
+    )
+    reach = comp == comp[0]
+    new_id = np.cumsum(reach) - 1
+    inside = reach[I]
+    if np.any(overlap & inside):
+        k = int(np.flatnonzero(overlap & inside)[0])
+        raise DegeneracyError(
+            f"collinear overlap between segments labelled "
+            f"{labels[I[k]]} and {labels[J[k]]}"
+        )
+    I, J, hx, hy = new_id[I[inside]], new_id[J[inside]], hx[inside], hy[inside]
+    segs, labels = segs[reach], labels[reach]
+    stick_ids, clipped = stick_ids[reach[len(sides):]], clipped[reach[len(sides):]]
+    n_segs = len(segs)
+
     # cut list: every segment's start, end and hits with other segments,
     # cut from the I side first, then the J side, each in hit order
     cut_seg = [np.arange(n_segs), np.arange(n_segs)]
     cut_t = [np.zeros(n_segs), np.ones(n_segs)]
     cut_x = [segs[:, 0], segs[:, 2]]
     cut_y = [segs[:, 1], segs[:, 3]]
-    I, J = candidate_pairs(segs)
-    if len(I):
-        hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
-        if np.any(overlap):
-            k = int(np.flatnonzero(overlap)[0])
-            raise DegeneracyError(
-                f"collinear overlap between segments labelled "
-                f"{labels[I[k]]} and {labels[J[k]]}"
-            )
-        hx = px[hits]
-        hy = py[hits]
-        for side in (I[hits], J[hits]):
-            ax = segs[side, 0]
-            ay = segs[side, 1]
-            dx = segs[side, 2] - ax
-            dy = segs[side, 3] - ay
-            cut_seg.append(side)
-            cut_t.append(((hx - ax) * dx + (hy - ay) * dy) / (dx * dx + dy * dy))
-            cut_x.append(hx)
-            cut_y.append(hy)
+    for side in (I, J):
+        ax = segs[side, 0]
+        ay = segs[side, 1]
+        dx = segs[side, 2] - ax
+        dy = segs[side, 3] - ay
+        cut_seg.append(side)
+        cut_t.append(((hx - ax) * dx + (hy - ay) * dy) / (dx * dx + dy * dy))
+        cut_x.append(hx)
+        cut_y.append(hy)
     seg = np.concatenate(cut_seg)
     # stable, so equal t keep the list order above
-    perm = np.lexsort((np.concatenate(cut_t), seg))
+    perm = _lexsort2(np.concatenate(cut_t), seg)
     seg = seg[perm]
     x = np.concatenate(cut_x)[perm]
     y = np.concatenate(cut_y)[perm]
@@ -239,7 +278,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     ty = vertex_xy[origin[twin], 1] - vertex_xy[origin, 1]
     angle = np.arctan2(ty, tx)
 
-    rotation = np.lexsort((angle, origin))
+    rotation = _lexsort2(angle, origin)
     rot_start = np.zeros(n_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(origin, minlength=n_vertices), out=rot_start[1:])
     wheel_of = origin[rotation]
@@ -312,49 +351,43 @@ class ExplorationResult:
 
 def trace_exploration(a: Arrangement) -> ExplorationResult:
     """Run the interface walk from the lower-left corner to right or top."""
-    origin, twin, rotation, rot_start, rot_pos = (
-        a.origin, a.twin, a.rotation, a.rot_start, a.rot_pos
-    )
-    on_left, on_right, on_top = a.on_left, a.on_right, a.on_top
+    twin, rot_start = a.twin, a.rot_start
+    # the turn rule as one successor per dart: the dart before the reversed
+    # incoming one in the wheel of the vertex reached, cyclically; that is the
+    # reversed dart itself at a stick tip, and it is forced at the left side.
+    # A dart reaching the right side has successor -1, the top side -2.
+    end = a.origin[twin]
+    pos = a.rot_pos[twin]
+    nxt = a.rotation[np.where(pos > 0, rot_start[end] + pos - 1, rot_start[end + 1] - 1)]
+    nxt = np.where(a.on_left[end], twin, nxt)
+    stop = np.where(a.on_right, -1, np.where(a.on_top, -2, 0))[end]
+    nxt = np.where(stop < 0, stop, nxt).tolist()
+
     d = a.start_dart
-    used = np.zeros(a.n_darts, dtype=bool)
-    verts = [int(origin[d])]
+    used = bytearray(a.n_darts)
     dart_log: list[int] = []
-    outcome = None
     for _ in range(a.n_darts + 1):
         if used[d]:
             raise TraceError(f"dart {d} reused; walk is cyclic")
-        used[d] = True
+        used[d] = 1
         dart_log.append(d)
-        back = int(twin[d])
-        v = int(origin[back])
-        verts.append(v)
-        if on_right[v]:
-            outcome = "Right"
+        d = nxt[d]
+        if d < 0:
             break
-        if on_top[v]:
-            outcome = "Top"
-            break
-        lo, hi = rot_start[v], rot_start[v + 1]
-        if on_left[v] or hi - lo == 1:
-            d = back   # pierce the left side / wrap a stick tip
-            continue
-        # the dart before the reversed incoming one, cyclically
-        pos = rot_pos[back]
-        d = int(rotation[lo + pos - 1] if pos else rotation[hi - 1])
-    if outcome is None:
+    else:
         raise TraceError("walk exhausted dart budget without reaching right/top")
 
-    labels = a.label[dart_log]
+    log = np.array(dart_log)
+    labels = a.label[log]
     # distinct stick labels in order of first appearance along the walk
     sticks = labels[labels >= 0]
     order = np.argsort(sticks, kind="stable")
     first = np.ones(len(order), dtype=bool)
     first[1:] = sticks[order[1:]] != sticks[order[:-1]]
-    path = Polyline(a.vertex_xy[verts])
+    verts = np.r_[a.origin[a.start_dart], end[log]]
     return ExplorationResult(
-        path=path,
-        outcome=outcome,
+        path=Polyline(a.vertex_xy[verts]),
+        outcome=("Right", "Top")[-1 - d],
         dart_log=dart_log,
         sticks_touched=sticks[np.sort(order[first])].tolist(),
         edge_labels=labels.tolist(),

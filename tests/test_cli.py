@@ -66,13 +66,43 @@ class TestExitCodes:
          "--trials", "5"],
         ["estimate", "void", "--u", "0.2", "--rmin", "0.1", "--balls", "0.2,0.5,0",
          "--trials", "5"],
+        ["verify", "double-circle", "--alpha", "inf"],
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "ball", "--size", "inf",
+         "--range", "atleast", "--r", "1"],
+        ["verify", "mu-hit", "--alpha", "2", "--shape", "segment", "--size", "1",
+         "--range", "below", "--r", "-inf"],
+        ["trace", "--u", "0.3", "--rmin", "0.08", "--box", "0", "0", "inf", "1"],
     ], ids=["dc-alpha", "mu-hit-alpha", "mu-hit-inf-alpha", "ball-size", "segment-size", "mu-hit-r",
-            "void-radius", "void-inf-radius", "void-centre", "void-zero-radius"])
+            "void-radius", "void-inf-radius", "void-centre", "void-zero-radius",
+            "dc-inf-alpha", "ball-inf-size", "mu-hit-neg-inf-r", "trace-inf-box"])
     def test_nan_is_2(self, argv, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("sticksoup: error: ")
+
+    def test_infinite_config_value_is_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("alpha = inf\n")
+        assert run(["verify", "double-circle", "--config", str(conf)]) == 2
+        assert "--alpha: expected a finite number, got 'inf'" in capsys.readouterr().err
+
+    # radii 2^m overflow a float from m = 1024 on
+    @pytest.mark.parametrize("argv", [
+        ["invasion", "--u", "1", "--m", "2000", "--rmin", "0.5"],
+        ["invasion", "--u", "1", "--m", "1024", "--rmin", "0.5", "--domination",
+         "--trials", "3"],
+        ["estimate", "h1", "--u", "0.2", "--rmin", "0.1", "--k", "1", "--mmax", "2000",
+         "--trials", "2"],
+        ["estimate", "arm", "--u", "0.15", "--rmin", "0.05", "--scan-mmax", "2000",
+         "--trials", "2"],
+    ], ids=["invasion", "invasion-domination", "h1", "arm-scan"])
+    def test_scale_overflow_is_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sticksoup: error: ")
+        assert "expected an integer below 1024" in captured.err
 
     # the flags no command read; they are gone from the parser
     @pytest.mark.parametrize("argv", [

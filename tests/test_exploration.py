@@ -10,6 +10,7 @@ from sticksoup.events import covered_components
 from sticksoup.exploration import (
     BOTTOM,
     DegeneracyError,
+    _lexsort2,
     _snap,
     box_dimension,
     build_arrangement,
@@ -28,7 +29,13 @@ from sticksoup.geometry import (
     stick_to_segment,
     segment_intersection,
 )
-from sticksoup.soup import Configuration, DiskWindow, SoupParams, sample_configuration
+from sticksoup.soup import (
+    Configuration,
+    DiskWindow,
+    SoupParams,
+    apply_homothety,
+    sample_configuration,
+)
 
 PARAMS = SoupParams(1.0, 2.0, 0)
 UNIT_BOX = Box(Point(0, 0), Point(1, 1))
@@ -47,11 +54,21 @@ class TestBuildArrangement:
         assert arr.label[arr.start_dart] == BOTTOM
 
     def test_isolated_interior_stick(self):
+        # the walk cannot reach a stick that touches neither the box boundary
+        # nor a stick that does, so the arrangement leaves it out
         arr = build_arrangement(cfg_from([[0.5, 0.5, 0.1, 0.4]]), UNIT_BOX)
+        assert arr.n_vertices == 4
+        assert arr.n_darts == 8
+        assert len(arr.stick_ids) == 0 and len(arr.clipped) == 0
+
+    def test_stick_crossing_bottom_is_kept(self):
+        # vertical stick from the bottom up to height 0.4
+        arr = build_arrangement(cfg_from([[0.5, 0.1, 0.3, math.pi / 2]]), UNIT_BOX)
+        assert arr.stick_ids.tolist() == [0]
         assert arr.n_vertices == 6
-        assert arr.n_darts == 10  # 4 sides + 1 stick edge
+        assert arr.n_darts == 12  # bottom cut in two, 3 more sides, 1 stick edge
         degrees = sorted(arr.degree(v) for v in range(arr.n_vertices))
-        assert degrees == [1, 1, 2, 2, 2, 2]
+        assert degrees == [1, 2, 2, 2, 2, 3]
 
     def test_stick_crossing_bottom_has_degree_three(self):
         arr = build_arrangement(cfg_from([[0.5, 0.0, 0.2, 1.0]]), UNIT_BOX)
@@ -114,6 +131,22 @@ def check_invariants(arr):
     assert V - E + F == 1 + C
 
 
+def reference_walk(arr):
+    """The walk's darts and outcome, turning at each vertex from its wheel."""
+    d, log = arr.start_dart, []
+    while True:
+        assert d not in log
+        log.append(d)
+        v = arr.origin[arr.twin[d]]
+        if arr.on_right[v] or arr.on_top[v]:
+            return log, "Right" if arr.on_right[v] else "Top"
+        wheel = arr.wheel(v).tolist()
+        if arr.on_left[v] or len(wheel) == 1:
+            d = int(arr.twin[d])
+        else:
+            d = wheel[wheel.index(arr.twin[d]) - 1]
+
+
 class TestArrangementInvariants:
     @pytest.mark.parametrize(
         "half, u, r_min, max_segments",
@@ -137,7 +170,7 @@ class TestArrangementInvariants:
                 assert n_segments <= max_segments   # the all-pairs broad phase
             check_invariants(arr)
             res = trace_exploration(arr)
-            assert len(res.dart_log) == len(set(res.dart_log))
+            assert (res.dart_log, res.outcome) == reference_walk(arr)
             built += 1
         assert built >= 18
 
@@ -146,13 +179,13 @@ class TestArrangementInvariants:
         cfg, box = figure_configuration()
         check_invariants(build_arrangement(cfg, box))
 
-    def test_chained_near_coincidence_degenerate(self):
-        # three stick tips 0.7 eps apart on a line: the first and the last
-        # are not within eps, so which vertex the middle one joins would
-        # depend on the order the points are merged in
+    @staticmethod
+    def chain_rows(middle):
+        """Three sticks whose tips lie 0.7 eps apart on a line through
+        (0.5, 0.5); the middle one runs from its tip along ``middle``."""
         eps = 1e-9 * UNIT_BOX.diagonal()
         rows = []
-        for k, (dx, dy) in enumerate([(-0.3, -0.2), (0.0, 0.3), (0.3, -0.2)]):
+        for k, (dx, dy) in enumerate([(-0.3, -0.2), middle, (0.3, -0.2)]):
             tip_x, tip_y = 0.5 + 0.7 * k * eps, 0.5
             r = math.hypot(dx, dy) / 2
             v = math.atan2(dy, dx)
@@ -161,8 +194,32 @@ class TestArrangementInvariants:
             elif v <= -math.pi / 2:
                 v += math.pi
             rows.append([tip_x + dx / 2, tip_y + dy / 2, r, v])
+        return rows
+
+    def test_chained_near_coincidence_degenerate(self):
+        # the first and the last tip are not within eps, so which vertex the
+        # middle one joins would depend on the order the points are merged
+        # in; the middle stick crosses the bottom side, so the walk can reach
+        # the chain
         with pytest.raises(DegeneracyError, match="chained"):
-            build_arrangement(cfg_from(rows), UNIT_BOX)
+            build_arrangement(cfg_from(self.chain_rows((0.0, -0.6))), UNIT_BOX)
+
+    def test_unreachable_chain_is_not_degenerate(self):
+        # the same chain hanging off nothing: it is left out of the
+        # arrangement, and the walk runs along the empty bottom side
+        arr = build_arrangement(cfg_from(self.chain_rows((0.0, 0.3))), UNIT_BOX)
+        assert len(arr.stick_ids) == 0
+        check_invariants(arr)
+        assert trace_exploration(arr).outcome == "Right"
+
+
+def test_lexsort2_matches_lexsort():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 7, 500):
+        major = rng.integers(0, 5, n)
+        # few distinct values, signed zeros among them, so most keys tie
+        minor = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], n)
+        assert np.array_equal(_lexsort2(minor, major), np.lexsort((minor, major)))
 
 
 def sequential_snap(xs, ys, eps):
@@ -262,6 +319,54 @@ def test_sticks_touched_in_walk_order(seed):
     res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
     assert res.sticks_touched == list(dict.fromkeys(x for x in labels if x >= 0))
     assert all(type(x) is int for x in res.sticks_touched + res.edge_labels)
+
+
+# (outcome, sha256 of the path coordinates, sha256 of the edge labels as
+# int64, number of edges) of walks on [-8, 8]^2 soups of the `estimate h1`
+# size (u = 0.2, r_min = 0.1, alpha = 2; ~8k sticks), recorded when
+# build_arrangement still assembled the whole arrangement rather than the part
+# of it the walk can reach
+GOLDEN_WALKS_H1 = {
+    1: ("Right", "c09114fe54f4558c1b1212acb56fdcd5d36216bbcdea1da5fb7ebb91c4415125",
+        "75366512de9897a441763db6a1c37d59ff7ff17a189f0480be763ab6544a0b01", 3389),
+    2: ("Top", "5688a5114abf61de3d1ee557c3410bb240d48decc4a04072abd81ba563083613",
+        "bb3e798542331b45be4f4f38e37dccd2a9936a46db4abfa17964b8312919a6b4", 1186),
+    3: ("Right", "87ec5a6df8dfe4d767e42a3675a8f6b69d3c4065d2318653a074dc19d81902fe",
+        "e59b229ac020d7d796349ffdafbb5363ecb684d56a93b5f72c74daed08b1581c", 1510),
+    4: ("Top", "4fb77d66177db3ac042f66c49f8f34e3f97f17b2003bce73b0ad428b28d81236",
+        "bdf8db2d1841e9cab0a33a8f7d22e2ba9d03ff50293d1999506c8d6d8819ebc8", 3924),
+    5: ("Top", "c3310002d8965f962bd1be7713e6b33a4a31aa84ae46bfe6f1268b352931bf7b",
+        "6e7923169007729be7c1e8be9c53b4e1dc61a7e0006e9b801622f2ac107310b7", 3899),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_WALKS_H1))
+def test_golden_walk_h1_size(seed):
+    box = Box(Point(-8, -8), Point(8, 8))
+    window = DiskWindow(box.center(), box.diagonal() / 2.0)
+    cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+    res = trace_exploration(build_arrangement(cfg, box))
+    labels = np.asarray(res.edge_labels, dtype=np.int64)
+    assert (
+        res.outcome,
+        hashlib.sha256(res.path.coords.tobytes()).hexdigest(),
+        hashlib.sha256(labels.tobytes()).hexdigest(),
+        len(labels),
+    ) == GOLDEN_WALKS_H1[seed]
+
+
+def test_walk_commutes_with_exact_homothety():
+    # at alpha = 2 the law is scale invariant; scaling by 4 is exact in binary
+    # floating point, and so is every tolerance REL_EPS * max(diagonal, 1)
+    # once the diagonal is at least 1, so the walk must scale bit for bit
+    big = Box(Point(0, 0), Point(4, 4))
+    for seed in range(20):
+        cfg = sample_configuration(SoupParams(0.3, 2.0, seed), UNIT_WINDOW, 0.08, seed)
+        res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
+        scaled = trace_exploration(build_arrangement(apply_homothety(cfg, 4.0), big))
+        assert np.array_equal(scaled.path.coords, 4.0 * res.path.coords)
+        assert scaled.outcome == res.outcome
+        assert scaled.edge_labels == res.edge_labels
 
 
 class TestTraceBasics:
