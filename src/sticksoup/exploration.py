@@ -44,7 +44,6 @@ from .geometry import (
     Point,
     Polyline,
     Segment,
-    _concat_ranges,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
@@ -64,66 +63,6 @@ class DegeneracyError(RuntimeError):
 
 class TraceError(RuntimeError):
     """Internal invariant of the exploration walk violated."""
-
-
-def _snap(x: np.ndarray, y: np.ndarray, eps: float):
-    """Merge points within eps into vertices; returns (vertex id per point,
-    index of the point that founds each vertex).
-
-    Points are taken in array order: a point joins the vertex founded by an
-    earlier point within eps, else founds a new one, and vertices are
-    numbered by first appearance.  That rule is order-independent exactly
-    when every group of near points is pairwise within eps; a chain (A near
-    B, B near C, C not near A) raises DegeneracyError.
-    """
-    n = len(x)
-    # collapse exact duplicates; the stable sort by (x, y) keeps the earliest
-    # first (complex numbers compare by real, then imaginary part)
-    order = np.argsort(x + 1j * y, kind="stable")
-    xs, ys = x[order], y[order]
-    new = np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])]
-    group = np.empty(n, dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    first = order[new]
-    ux, uy = xs[new], ys[new]
-    m = len(first)
-
-    # near pairs among distinct points: 3x3 join on cells of side eps.  In
-    # key order, cells (cx, cy..cy+1) and (cx+1, cy-1..cy+1) are two runs,
-    # so each pair is met once, from the lower cell (or the lower position).
-    cx = np.floor((ux - ux.min()) / eps).astype(np.int64)
-    cy = np.floor((uy - uy.min()) / eps).astype(np.int64) + 1
-    width = int(cy.max()) + 2
-    key = cx * width + cy
-    korder = np.argsort(key, kind="stable")
-    skey = key[korder]
-    pos = np.arange(m)
-    runs = (
-        (pos + 1, np.searchsorted(skey, skey + 2)),
-        (np.searchsorted(skey, skey + width - 1), np.searchsorted(skey, skey + width + 2)),
-    )
-    pi = np.concatenate([np.repeat(pos, hi - lo) for lo, hi in runs])
-    pj = np.concatenate([np.repeat(lo, hi - lo) + _concat_ranges(hi - lo) for lo, hi in runs])
-    pi, pj = korder[pi], korder[pj]
-    dx = ux[pi] - ux[pj]
-    dy = uy[pi] - uy[pj]
-    near = dx * dx + dy * dy <= eps * eps
-    pi, pj = pi[near], pj[near]
-
-    n_comp, comp = connected_components(
-        coo_matrix((np.ones(len(pi)), (pi, pj)), shape=(m, m)), directed=False
-    )
-    size = np.bincount(comp, minlength=n_comp)
-    chained = np.bincount(comp[pi], minlength=n_comp) != size * (size - 1) // 2
-    if np.any(chained):
-        p = first[np.flatnonzero(chained[comp])[0]]
-        raise DegeneracyError(f"chained near-coincident points at ({x[p]}, {y[p]})")
-    founder = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(founder, comp, first)
-    # vertices are numbered by founder
-    is_founder = np.zeros(n, dtype=bool)
-    is_founder[founder] = True
-    return (np.cumsum(is_founder) - 1)[founder][comp[group]], np.flatnonzero(is_founder)
 
 
 def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
@@ -197,10 +136,8 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     of the box sides and the clipped sticks is built: the walk starts on the
     bottom side and moves along darts, so it never leaves that component.  The
     sides meet at the corners, so the component holds the whole box boundary.
-    Degeneracy checks cover that component only.  The vertex snap can also
-    merge points of two segments the narrow phase does not report as a hit
-    (nearly parallel tips within eps); such a contact with a segment outside
-    the component is dropped together with that segment.
+    Degeneracy checks cover that component only.  Segments meet at a vertex
+    exactly where the narrow phase reports a hit.
     """
     c.window.require_contains(b.center(), b.diagonal() / 2.0)
 
@@ -262,12 +199,36 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     seg = seg[perm]
     x = np.concatenate(cut_x)[perm]
     y = np.concatenate(cut_y)[perm]
-    vid, founders = _snap(x, y, eps)
-    vertex_xy = np.column_stack([x[founders], y[founders]])
+    n_cuts = len(seg)
+    same_seg = seg[1:] == seg[:-1]
+
+    # a vertex is a set of cuts with one identity: a start s has id s, an end
+    # n_segs + s, and both cuts of hit k share 2 n_segs + k; a cut within eps
+    # of the next one on its segment joins that cut's vertex
+    n_ids = 2 * n_segs + len(hx)
+    ident = np.r_[np.arange(n_ids), np.arange(2 * n_segs, n_ids)][perm]
+    link = np.flatnonzero(same_seg & (np.diff(x) ** 2 + np.diff(y) ** 2 <= eps * eps))
+    _, comp = connected_components(
+        coo_matrix((np.ones(len(link)), (ident[link], ident[link + 1])), shape=(n_ids, n_ids)),
+        directed=False,
+    )
+    group = comp[ident]
+    # each vertex is founded by its first cut, and numbered in founder order
+    founder = np.full(n_ids, n_cuts)
+    np.minimum.at(founder, group, np.arange(n_cuts))
+    founder = founder[group]
+    # a cut farther than eps from its founder ends a chain of near points
+    far = (x - x[founder]) ** 2 + (y - y[founder]) ** 2 > eps * eps
+    if np.any(far):
+        p = founder[np.argmax(far)]
+        raise DegeneracyError(f"chained near-coincident points at ({x[p]}, {y[p]})")
+    is_founder = founder == np.arange(n_cuts)
+    vid = (np.cumsum(is_founder) - 1)[founder]
+    vertex_xy = np.column_stack([x[is_founder], y[is_founder]])
     n_vertices = len(vertex_xy)
 
     # edges join consecutive distinct vertices along each segment
-    step = np.flatnonzero((seg[1:] == seg[:-1]) & (vid[1:] != vid[:-1]))
+    step = np.flatnonzero(same_seg & (vid[1:] != vid[:-1]))
     n_darts = 2 * len(step)
     origin = np.empty(n_darts, dtype=np.int64)
     origin[0::2] = vid[step]

@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .geometry import REL_EPS, GeometryError, Point, Stick, sticks_to_segments
+from .geometry import REL_EPS, GeometryError, Point, Stick, radial_interval, sticks_to_segments
 
 
 class InfiniteMeasureError(ValueError):
@@ -258,19 +258,51 @@ def configuration_to_jsonl(c: Configuration) -> str:
     return "\n".join(lines) + "\n"
 
 
-def configuration_from_jsonl(stream: IO[str] | Iterable[str]) -> Configuration:
-    lines = iter(stream)
-    header = json.loads(next(lines))
-    rows = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
+_HEADER_KEYS = ("u", "alpha", "r_min", "window_cx", "window_cy", "window_a", "seed")
+_STICK_KEYS = ("cx", "cy", "r", "v")
+
+
+def _finite_values(line: str, keys: tuple[str, ...], where: str) -> list:
+    try:
         d = json.loads(line)
-        rows.append((d["cx"], d["cy"], d["r"], d["v"]))
-    params = SoupParams(header["u"], header["alpha"], header.get("seed", 0))
-    window = DiskWindow(
-        Point(header["window_cx"], header["window_cy"]), header["window_a"]
-    )
-    data = np.asarray(rows, dtype=float).reshape(-1, 4)
-    return Configuration(params, window, header["r_min"], header["seed"], data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc.msg}") from None
+    if not isinstance(d, dict) or not all(k in d for k in keys):
+        raise ValueError(f"{where}: expected an object with the keys {', '.join(keys)}")
+    for k in keys:
+        try:  # a JSON integer past the float range overflows
+            ok = type(d[k]) in (int, float) and math.isfinite(d[k])
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{where}: {k} must be a finite number, got {d[k]!r}")
+    return [d[k] for k in keys]
+
+
+def configuration_from_jsonl(stream: IO[str] | Iterable[str]) -> Configuration:
+    """Read a configuration written by ``configuration_to_jsonl``.
+
+    Raises ValueError unless the header and every stick have their keys with
+    finite values, window_a and r_min are positive, and every stick has
+    r >= r_min, v in [-pi/2, pi/2] and meets the window disk within the
+    tolerance of ``DiskWindow.require_contains``.
+    """
+    lines = [(n, line) for n, line in enumerate(stream, 1) if line.strip()]
+    if not lines:
+        raise ValueError("configuration file is empty")
+    n0, header = lines[0]
+    u, alpha, r_min, wx, wy, a, seed = _finite_values(header, _HEADER_KEYS, f"line {n0}")
+    if not (a > 0 and r_min > 0):
+        raise ValueError(f"line {n0}: window_a and r_min must be positive")
+    data = np.array(
+        [_finite_values(line, _STICK_KEYS, f"line {n}") for n, line in lines[1:]], dtype=float
+    ).reshape(-1, 4)
+    dmin, _ = radial_interval(sticks_to_segments(data), wx, wy)
+    for bad, what in (
+        (data[:, 2] < r_min, f"r below r_min = {r_min}"),
+        (np.abs(data[:, 3]) > math.pi / 2, "v outside [-pi/2, pi/2]"),
+        (dmin > a + REL_EPS * max(a, 1.0), "stick misses the window disk"),
+    ):
+        if np.any(bad):
+            raise ValueError(f"line {lines[1 + int(np.argmax(bad))][0]}: {what}")
+    return Configuration(SoupParams(u, alpha, seed), DiskWindow(Point(wx, wy), a), r_min, seed, data)

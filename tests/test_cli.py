@@ -13,6 +13,13 @@ def read(path):
     return path.read_bytes()
 
 
+def jsonl(*objects):
+    """JSON Lines text of the objects, leaving out the keys set to None."""
+    return "".join(
+        json.dumps({k: v for k, v in d.items() if v is not None}) + "\n" for d in objects
+    )
+
+
 class TestExitCodes:
     def test_unknown_flag_is_2(self, capsys):
         assert run(["estimate", "arm", "--bogus"]) == 2
@@ -344,6 +351,57 @@ class TestTraceAndRender:
         # all sampled sticks meet the window disk, hence its bounding box clip
         # keeps at least the ones whose segment enters the box
         assert 0 < text.count("<line") <= n_sticks
+
+    @staticmethod
+    def sampled(tmp_path):
+        """Header and stick rows of a sampled configuration on the unit disk."""
+        src = tmp_path / "good.jsonl"
+        assert run(["sample", "--u", "0.5", "--rmin", "0.2", "--window-radius", "1",
+                    "--seed", "5", "--out", str(src)]) == 0
+        header, *rows = (json.loads(line) for line in src.read_text().splitlines())
+        assert rows
+        return header, rows
+
+    @staticmethod
+    def render(tmp_path, text):
+        src = tmp_path / "edited.jsonl"
+        src.write_text(text)
+        return run(["render", "--in", str(src), "--box", "-0.7", "-0.7", "0.7", "0.7",
+                    "--trace", "--out", str(tmp_path / "edited.svg")])
+
+    # (header, one stick row) -> file text
+    BAD_FILES = {
+        "empty": lambda h, s: "",
+        "not-json": lambda h, s: "{\n",
+        "header-not-object": lambda h, s: "[1, 2]\n",
+        "missing-header-key": lambda h, s: jsonl({**h, "window_a": None}, s),
+        "missing-row-key": lambda h, s: jsonl(h, {**s, "v": None}),
+        "nan-r": lambda h, s: jsonl(h, {**s, "r": math.nan}),
+        "infinite-u": lambda h, s: jsonl({**h, "u": math.inf}, s),
+        "string-cx": lambda h, s: jsonl(h, {**s, "cx": "0.1"}),
+        "huge-integer-cy": lambda h, s: jsonl(h, {**s, "cy": 10 ** 400}),
+        "zero-window": lambda h, s: jsonl({**h, "window_a": 0}, s),
+        "negative-rmin": lambda h, s: jsonl({**h, "r_min": -0.1}, s),
+        "r-below-rmin": lambda h, s: jsonl(h, {**s, "r": h["r_min"] / 2}),
+        "v-7": lambda h, s: jsonl(h, {**s, "v": 7}),
+        "v-below-minus-half-pi": lambda h, s: jsonl(h, {**s, "v": -math.pi / 2 - 1e-9}),
+        "stick-off-window": lambda h, s: jsonl(h, {**s, "cx": h["window_a"] + 2 * s["r"] + 1}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
+    def test_bad_configuration_file_is_2(self, name, tmp_path, capsys):
+        header, rows = self.sampled(tmp_path)
+        text = self.BAD_FILES[name](header, rows[0])
+        capsys.readouterr()
+        assert self.render(tmp_path, text) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sticksoup: error: ")
+
+    def test_closed_direction_interval(self, tmp_path):
+        # rng.uniform(-pi/2, pi/2) can return -pi/2 itself
+        header, rows = self.sampled(tmp_path)
+        assert self.render(tmp_path, jsonl(header, {**rows[0], "v": -math.pi / 2})) == 0
 
 
 class TestVerify:

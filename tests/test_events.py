@@ -193,6 +193,19 @@ class TestArmEvent:
                     assert ind <= prev
                 prev = ind
 
+    def test_exact_homothety_by_four(self):
+        # at alpha = 2 the law is scale invariant; scaling by 4 is exact in
+        # binary floating point, and so is every tolerance REL_EPS * max(scale, 1)
+        # at scales of at least 1, so the event on A(1, 4) and on A(4, 16) must agree
+        window = DiskWindow(Point(0, 0), 4.0)
+        outcomes = []
+        for i in range(40):
+            c = sample_configuration(SoupParams(0.1, 2.0, 0), window, 0.2, 500 + i)
+            base = arm_event(c, Annulus(Point(0, 0), 1.0, 4.0))
+            assert arm_event(apply_homothety(c, 4.0), Annulus(Point(0, 0), 4.0, 16.0)) == base
+            outcomes.append(base)
+        assert 0 < sum(outcomes) < len(outcomes)
+
     def test_homothety_equivariance(self):
         window = DiskWindow(Point(0, 0), 2.0)
         for i in range(15):

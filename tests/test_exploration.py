@@ -11,7 +11,6 @@ from sticksoup.exploration import (
     BOTTOM,
     DegeneracyError,
     _lexsort2,
-    _snap,
     box_dimension,
     build_arrangement,
     count_traversals,
@@ -212,6 +211,25 @@ class TestArrangementInvariants:
         check_invariants(arr)
         assert trace_exploration(arr).outcome == "Right"
 
+    def test_tip_near_without_hit_is_not_joined(self):
+        # a stick from the bottom side up to (0.5, 0.5), and one from 0.58 eps
+        # beside that tip to the top side, 1e-6 rad off vertical: their lines
+        # meet far below the second stick's start, so the narrow phase reports
+        # no hit, and the walk agrees with the clusters that nothing joins
+        # the bottom to the top
+        eps = 1e-9 * UNIT_BOX.diagonal()
+        v = math.pi / 2 - 1e-6
+        start_x = 0.5 + 0.58 * eps
+        rows = [
+            [0.5, 0.2, 0.3, math.pi / 2],
+            [start_x + 0.3 * math.cos(v), 0.5 + 0.3 * math.sin(v), 0.3, v],
+        ]
+        cfg = cfg_from(rows)
+        res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
+        assert res.outcome == "Right"
+        part = covered_components(cfg.stick_data, UNIT_BOX)
+        assert part.any_cluster_touching("bottom", "top") == (res.outcome == "Top")
+
 
 def test_lexsort2_matches_lexsort():
     rng = np.random.default_rng(3)
@@ -220,56 +238,6 @@ def test_lexsort2_matches_lexsort():
         # few distinct values, signed zeros among them, so most keys tie
         minor = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], n)
         assert np.array_equal(_lexsort2(minor, major), np.lexsort((minor, major)))
-
-
-def sequential_snap(xs, ys, eps):
-    """Reference rule: each point in turn joins the first earlier vertex found
-    within eps on a grid of cells of side eps, else founds a new vertex."""
-    cells, vx, vy, vid = {}, [], [], []
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        ix, iy = round(x / eps), round(y / eps)
-        found = next(
-            (
-                v
-                for nx in (ix - 1, ix, ix + 1)
-                for ny in (iy - 1, iy, iy + 1)
-                for v in cells.get((nx, ny), ())
-                if (vx[v] - x) ** 2 + (vy[v] - y) ** 2 <= eps * eps
-            ),
-            None,
-        )
-        if found is None:
-            found = len(vx)
-            vx.append(x)
-            vy.append(y)
-            cells.setdefault((ix, iy), []).append(found)
-        vid.append(found)
-    return np.array(vid), np.array(vx), np.array(vy)
-
-
-def test_snap_matches_sequential_rule():
-    rng = np.random.default_rng(5)
-    eps = 2e-9
-    chains = 0
-    for _ in range(300):
-        base = rng.uniform(-1, 1, (int(rng.integers(1, 100)), 2))
-        # exact and near copies; 0.9 eps copies of one point can be 1.8 eps
-        # apart, which makes a chain
-        i = rng.integers(0, len(base), 12)
-        r = rng.choice([0.0, 0.3, 0.45, 0.9], 12) * eps
-        th = rng.uniform(0, 2 * math.pi, 12)
-        copies = base[i] + r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
-        pts = rng.permutation(np.vstack([base, copies]))
-        x, y = pts[:, 0].copy(), pts[:, 1].copy()
-        ref_vid, ref_x, ref_y = sequential_snap(x, y, eps)
-        try:
-            vid, founders = _snap(x, y, eps)
-        except DegeneracyError:
-            chains += 1
-            continue
-        assert np.array_equal(vid, ref_vid)
-        assert np.array_equal(x[founders], ref_x) and np.array_equal(y[founders], ref_y)
-    assert 0 < chains < 100
 
 
 # (outcome, sha256 of the path coordinates, edge labels) of
@@ -358,8 +326,11 @@ def test_golden_walk_h1_size(seed):
 def test_walk_commutes_with_exact_homothety():
     # at alpha = 2 the law is scale invariant; scaling by 4 is exact in binary
     # floating point, and so is every tolerance REL_EPS * max(diagonal, 1)
-    # once the diagonal is at least 1, so the walk must scale bit for bit
+    # once the diagonal is at least 1, so the walk must scale bit for bit, and
+    # with it the circle crossings that count annulus traversals
     big = Box(Point(0, 0), Point(4, 4))
+    annuli = [((0.5, 0.5), 0.1, 0.4), ((0.5, 0.5), 0.2, 0.45), ((0.25, 0.1), 0.05, 0.2)]
+    counts = []
     for seed in range(20):
         cfg = sample_configuration(SoupParams(0.3, 2.0, seed), UNIT_WINDOW, 0.08, seed)
         res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
@@ -367,6 +338,14 @@ def test_walk_commutes_with_exact_homothety():
         assert np.array_equal(scaled.path.coords, 4.0 * res.path.coords)
         assert scaled.outcome == res.outcome
         assert scaled.edge_labels == res.edge_labels
+        for (cx, cy), inner, outer in annuli:
+            n, _ = count_traversals(res.path, Annulus(Point(cx, cy), inner, outer))
+            n4, _ = count_traversals(
+                scaled.path, Annulus(Point(4 * cx, 4 * cy), 4 * inner, 4 * outer)
+            )
+            assert n4 == n
+            counts.append(n)
+    assert 0 < counts.count(0) < len(counts)
 
 
 class TestTraceBasics:
@@ -510,6 +489,34 @@ class TestDichotomySmoke:
             oracle_top = part.any_cluster_touching("bottom", "top")
             mismatches += (res.outcome == "Top") != oracle_top
         assert mismatches == 0
+
+    def test_agreement_with_planted_near_tips(self):
+        # three sticks per soup start 0 to 1.5 eps from another stick's tip,
+        # 1e-6 to 2 rad off its direction; the walk joins two sticks exactly
+        # where the narrow phase reports a hit, as the clusters do
+        eps = 1e-9 * UNIT_BOX.diagonal()
+        built = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            cfg = sample_configuration(SoupParams(0.4, 2.0, 0), UNIT_WINDOW, 0.08, seed)
+            cx, cy, r, v = cfg.stick_data[rng.integers(0, cfg.n_sticks, 3)].T
+            d = rng.choice([0.0, 0.3, 0.6, 0.9, 1.5], 3) * eps
+            th = rng.uniform(0, 2 * math.pi, 3)
+            w = v + rng.choice([1e-6, 1e-3, 0.5, 2.0], 3) * rng.choice([-1, 1], 3)
+            w = (w + math.pi / 2) % math.pi - math.pi / 2
+            r2 = rng.uniform(0.05, 0.3, 3)
+            x0 = cx + r * np.cos(v) + d * np.cos(th)
+            y0 = cy + r * np.sin(v) + d * np.sin(th)
+            planted = np.column_stack([x0 + r2 * np.cos(w), y0 + r2 * np.sin(w), r2, w])
+            c = cfg_from(np.vstack([cfg.stick_data, planted]))
+            try:
+                res = trace_exploration(build_arrangement(c, UNIT_BOX))
+            except DegeneracyError:
+                continue
+            part = covered_components(c.stick_data, UNIT_BOX)
+            assert (res.outcome == "Top") == part.any_cluster_touching("bottom", "top"), seed
+            built += 1
+        assert built >= 140
 
 
 class TestLastLeftSubpath:

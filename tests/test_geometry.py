@@ -14,6 +14,7 @@ from sticksoup.geometry import (
     Polyline,
     Segment,
     Stick,
+    batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
     clip_segment_to_box,
@@ -203,7 +204,32 @@ class TestCandidatePairsGrid:
     """The grid broad phase (more than 200 segments) against all pairs."""
 
     @staticmethod
+    def touching_segments():
+        """Pieces of lines that meet at ends or along a line: collinear
+        overlaps, end-to-end touches, shared endpoints and equal-y horizontal
+        pairs, among their own random crossings."""
+        rng = np.random.default_rng(4)
+        k = 60
+        p = rng.uniform(-2, 2, (k, 2))
+        r = rng.uniform(-0.5, 0.5, (k, 2))
+
+        def along(t0, t1):
+            return np.hstack([p + t0 * r, p + t1 * r])
+
+        y = rng.uniform(-2, 2, k)
+        x = np.sort(rng.uniform(-2, 2, (k, 3)), axis=1)
+        return np.vstack([
+            along(0, 1), along(1, 2), along(0.5, 1.5), along(2.5, 3),
+            np.hstack([p, p + rng.uniform(-0.5, 0.5, (k, 2))]),  # shares along(0, 1)'s start
+            np.column_stack([x[:, 0], y, x[:, 1], y]),
+            np.column_stack([x[:, 1], y, x[:, 2], y]),
+            np.column_stack([x[:, 0], y, x[:, 2], y]),
+        ])
+
+    @staticmethod
     def segments(seed):
+        if seed == "touching":
+            return TestCandidatePairsGrid.touching_segments()
         cfg = sample_configuration(
             SoupParams(0.15, 2.0, 0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
         )
@@ -226,7 +252,7 @@ class TestCandidatePairsGrid:
             horizontal, t_junction, vertical, long_sticks,
         ])
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, "touching"])
     def test_unique_ordered_superset_of_hits(self, seed):
         segs = self.segments(seed)
         n = len(segs)
@@ -241,3 +267,97 @@ class TestCandidatePairsGrid:
         true_keys = AI[hits] * n + AJ[hits]
         assert len(true_keys) > n
         assert np.all(np.isin(true_keys, keys))
+
+
+def structured_pairs(rng, n):
+    """n pairs of segments (a, b) in [-1, 1]^2: generic pairs, shared
+    endpoints and ones 0.5 REL_EPS apart, T-junctions, collinear pairs
+    (overlapping, touching end to end or apart) and equal-y horizontal pairs.
+    Drawn in [-8, 8]^2 and scaled by 1/8, which is exact."""
+    a = rng.uniform(-1, 1, (n, 4))
+    b = rng.uniform(-1, 1, (n, 4))
+    kind = rng.integers(0, 7, n)
+    p, r = a[:, :2], a[:, 2:] - a[:, :2]
+    t = rng.choice([-0.5, 0.0, 0.3, 1.0, 1.5], (n, 2))
+    t[:, 1] += rng.uniform(0.1, 1.0, n) * (kind == 3)
+    on_line = np.hstack([p + t[:, :1] * r, p + t[:, 1:] * r])
+    b[kind == 1, :2] = a[kind == 1, 2:]                              # shared endpoint
+    tee = kind == 2                                                  # T-junction
+    b[tee, :2] = p[tee] + rng.uniform(0, 1, (tee.sum(), 1)) * r[tee]
+    col = (kind == 3) | (kind == 4)                                  # collinear
+    b[col] = on_line[col]
+    flat = kind == 5                                                 # equal y
+    a[flat, 3] = a[flat, 1]
+    b[flat, 1] = b[flat, 3] = a[flat, 1]
+    near = kind == 6                                                 # near endpoint
+    th = rng.uniform(0, 2 * math.pi, near.sum())
+    b[near, :2] = a[near, 2:] + 4 * REL_EPS * np.column_stack([np.cos(th), np.sin(th)])
+    return a / 8, b / 8
+
+
+class TestKernelsMatchScalar:
+    """The vectorized kernels that production uses against the scalar ones,
+    bit for bit."""
+
+    @staticmethod
+    def check_pairs(segs, I, J, eps):
+        hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
+        for k, (i, j) in enumerate(zip(I, J)):
+            p, over = segment_intersection(seg(*segs[i]), seg(*segs[j]))
+            assert (bool(hits[k]), bool(overlap[k])) == (p is not None or over, over)
+            if p is not None:
+                assert (px[k], py[k]) == (p.x, p.y)
+
+    def test_pair_intersections(self):
+        rng = np.random.default_rng(11)
+        a, b = structured_pairs(rng, 6000)
+        n = len(a)
+        segs = np.vstack([a, b])
+        lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+        keep = np.flatnonzero((lengths[:n] > REL_EPS) & (lengths[n:] > REL_EPS))
+        # every coordinate lies in [-1, 1], so each pair's tolerance is REL_EPS
+        assert np.abs(segs).max() <= 1
+        I, J = keep, keep + n
+        self.check_pairs(segs, I, J, REL_EPS)
+        hits, _, _, overlap = batch_pair_intersections(segs, I, J, REL_EPS)
+        assert 1000 < hits.sum() < len(keep) and overlap.sum() > 100
+
+    def test_pair_intersections_scaled(self):
+        rng = np.random.default_rng(12)
+        a, b = structured_pairs(rng, 400)
+        for k, scale in enumerate(rng.choice([3.0, 8.0, 1e3], len(a))):
+            segs = scale * np.vstack([a[k], b[k]])
+            eps = REL_EPS * max(1.0, float(np.abs(segs).max()))
+            if np.all(np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]) > eps):
+                self.check_pairs(segs, np.array([0]), np.array([1]), eps)
+
+    @pytest.mark.parametrize("box", [
+        Box(Point(0, 0), Point(1, 1)),
+        Box(Point(-8, -8), Point(8, 8)),
+        Box(Point(-2.5, 0.25), Point(1.5, 3.0)),
+    ], ids=["unit", "h1", "offset"])
+    def test_clip_to_box(self, box):
+        rng = np.random.default_rng(13)
+        n = 20000
+        lo = np.array([box.min.x, box.min.y] * 2)
+        span = np.array([box.width(), box.height()] * 2)
+        segs = lo - span / 2 + 2 * span * rng.uniform(0, 1, (n, 4))
+        # sides, corners and lines along the sides, on and just off them
+        xs = np.array([box.min.x, box.max.x])
+        ys = np.array([box.min.y, box.max.y])
+        off = rng.choice([0.0, 0.0, 1e-10, -1e-10, 1e-6], (n, 4)) * max(box.diagonal(), 1)
+        snap = rng.integers(0, 5, (n, 4))
+        for c, ends in ((0, xs), (1, ys), (2, xs), (3, ys)):
+            on = snap[:, c] < 2
+            segs[on, c] = ends[snap[on, c]] + off[on, c]
+        vertical = rng.uniform(0, 1, n) < 0.1
+        segs[vertical, 2] = segs[vertical, 0]
+        segs = segs[np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]) > 0]
+        keep, clipped = batch_clip_to_box(segs, box)
+        assert 0 < keep.sum() < len(segs)
+        rows = iter(clipped)
+        for s, kept in zip(segs, keep):
+            c = clip_segment_to_box(seg(*s), box)
+            assert (c is not None) == kept
+            if kept:
+                assert tuple(next(rows)) == (c.a.x, c.a.y, c.b.x, c.b.y)
