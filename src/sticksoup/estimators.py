@@ -232,9 +232,7 @@ def h1_scan(
 
     def evaluate(cfg):
         res = trace_exploration(build_arrangement(cfg, box))
-        return [
-            count_traversals(res.path, ann, res.edge_labels)[0] >= k for ann in annuli
-        ]
+        return [count_traversals(res.path, ann)[0] >= k for ann in annuli]
 
     hits, _ = run_trials(params, window, r_min, n_trials, master_seed, evaluate)
     successes = [sum(h[j] for h in hits) for j in range(m_max)]

@@ -63,8 +63,9 @@ class ClusterPartition:
 def _clip_to_region(segs: np.ndarray, region):
     """Clip segments to a closed region.
 
-    Returns (pieces (m, 4), owners (m,), touch: dict[str, bool array (m,)]).
-    A segment passing through the open hole of an annulus yields two pieces.
+    Returns (pieces (m, 4), owners (m,), touch: dict[str, bool array (m,)],
+    tol), where tol is the region's coincidence tolerance.  A segment passing
+    through the open hole of an annulus yields two pieces.
     """
     eps = REL_EPS
     if isinstance(region, Box):
@@ -79,14 +80,14 @@ def _clip_to_region(segs: np.ndarray, region):
             ("right", lambda P: np.abs(P[:, 0] - region.max.x) <= tol),
         ):
             touch[name] = test(clipped[:, 0:2]) | test(clipped[:, 2:4])
-        return clipped, owners, touch
+        return clipped, owners, touch, tol
 
     if isinstance(region, Disk):
         cx, cy, rad = region.center.x, region.center.y, region.radius
         pieces, owners = _clip_to_disk(segs, cx, cy, rad)
         tol = eps * max(rad, 1.0)
         dmin, dmax = radial_interval(pieces, cx, cy)
-        return pieces, owners, {"circle": dmax >= rad - tol}
+        return pieces, owners, {"circle": dmax >= rad - tol}, tol
 
     if isinstance(region, Annulus):
         cx, cy = region.center.x, region.center.y
@@ -99,7 +100,7 @@ def _clip_to_region(segs: np.ndarray, region):
         return pieces, owners, {
             "inner": dmin <= region.inner + tol,
             "outer": dmax >= region.outer - tol,
-        }
+        }, tol
 
     raise TypeError(f"unsupported region {region!r}")
 
@@ -171,7 +172,7 @@ def covered_components(
 
 def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
     """covered_components of the sticks given as an (n, 4) endpoint array."""
-    pieces, owners, touch = _clip_to_region(segs, region)
+    pieces, owners, touch, tol = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
     n = len(kept)
     if n == 0:
@@ -181,8 +182,7 @@ def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
     if len(pieces) > 1:
         I, J = candidate_pairs(pieces)
         if len(I):
-            scale = max(1.0, float(np.abs(pieces).max()))
-            hits, _, _, _ = batch_pair_intersections(pieces, I, J, REL_EPS * scale)
+            hits, _, _, _ = batch_pair_intersections(pieces, I, J, tol)
             ri = node[I[hits]]
             rj = node[J[hits]]
     graph = coo_matrix(

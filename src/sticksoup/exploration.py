@@ -27,7 +27,6 @@ dart, and the walk only follows it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,6 +48,7 @@ from .geometry import (
     batch_pair_intersections,
     candidate_pairs,
     line_circle_roots,
+    radial_interval,
 )
 from .soup import Configuration
 
@@ -102,14 +102,6 @@ class Arrangement:
     start_dart: int
     stick_ids: np.ndarray          # (m,) index of each stick in the arrangement
     clipped: np.ndarray            # (m, 4) those sticks clipped to the box
-
-    @functools.cached_property
-    def stick_segments(self) -> dict[int, Segment]:
-        """Clipped stick per stick index, as Segment objects."""
-        return {
-            int(s): Segment(Point(x1, y1), Point(x2, y2))
-            for s, (x1, y1, x2, y2) in zip(self.stick_ids, self.clipped)
-        }
 
     @property
     def n_vertices(self) -> int:
@@ -372,7 +364,6 @@ def last_left_subpath(r: ExplorationResult, b: Box) -> Polyline:
 @dataclass(frozen=True)
 class TraversalArm:
     direction: str               # "Entering" (outer->inner) or "Exiting"
-    polyline: Polyline
     sticks_used: frozenset[int]
 
 
@@ -389,19 +380,19 @@ def _circle_edge_events(coords: np.ndarray, cx: float, cy: float, rad: float):
     return np.concatenate(out)
 
 
-def _point_at(coords: np.ndarray, s: float) -> tuple[float, float]:
-    i = min(int(math.floor(s)), len(coords) - 2)
-    t = s - i
-    x = coords[i, 0] + t * (coords[i + 1, 0] - coords[i, 0])
-    y = coords[i, 1] + t * (coords[i + 1, 1] - coords[i, 1])
-    return x, y
-
-
 def count_traversals(
     p: Polyline, ann: Annulus, edge_labels: Sequence[int] | None = None
 ) -> tuple[int, list[TraversalArm]]:
     """Count maximal sub-paths running from one boundary circle of the annulus
-    to the other through its open interior, labelling each Entering/Exiting."""
+    to the other through its open interior, labelling each Entering/Exiting.
+
+    The circle crossings cut the path into pieces, each inside or outside by
+    its midpoint radius (pieces of parameter length <= 1e-12 are skipped).  A
+    run of inside pieces opens at the crossing before its first piece and
+    closes at the crossing before the next outside piece; it is a traversal
+    when the two crossings lie on different circles.  A run open at the start
+    of the path, or still open at its end, is not.  Arms are in path order.
+    """
     coords = p.coords
     if len(coords) < 2:
         return 0, []
@@ -416,46 +407,33 @@ def count_traversals(
     events = events[order]
     which = which[order]
 
-    total = float(len(coords) - 1)
-    bounds = np.r_[0.0, events, total]
-    arms: list[TraversalArm] = []
-    run_start: int | None = None  # index into `events` of the run's opening event
-    for piece in range(len(bounds) - 1):
-        s0, s1 = bounds[piece], bounds[piece + 1]
-        if s1 - s0 <= 1e-12:
-            continue
-        # classify the piece by its midpoint radius
-        mx, my = _point_at(coords, (s0 + s1) / 2.0)
-        rho = math.hypot(mx - cx, my - cy)
-        inside = ann.inner < rho < ann.outer
-        if inside:
-            if run_start is None:
-                run_start = piece - 1  # event index opening this run (-1 = path start)
-            continue
-        if run_start is not None:
-            open_ev = run_start
-            close_ev = piece - 1  # event index that closed the run
-            if open_ev >= 0 and close_ev < len(events) and which[open_ev] != which[close_ev]:
-                s_a, s_b = float(events[open_ev]), float(events[close_ev])
-                pts = [_point_at(coords, s_a)]
-                for i in range(int(math.floor(s_a)) + 1, int(math.ceil(s_b))):
-                    pts.append((coords[i, 0], coords[i, 1]))
-                pts.append(_point_at(coords, s_b))
-                dedup = [pts[0]]
-                for q in pts[1:]:
-                    if q != dedup[-1]:
-                        dedup.append(q)
-                used: set[int] = set()
-                if edge_labels is not None:
-                    for i in range(int(math.floor(s_a)), int(math.ceil(s_b))):
-                        if 0 <= i < len(edge_labels) and edge_labels[i] >= 0:
-                            used.add(int(edge_labels[i]))
-                direction = "Entering" if which[open_ev] == 1 else "Exiting"
-                poly = Polyline(dedup) if len(dedup) > 1 else Polyline([dedup[0]])
-                arms.append(TraversalArm(direction, poly, frozenset(used)))
-            run_start = None
-    if run_start is not None and run_start >= 0:
-        pass  # path ends strictly inside the annulus: not a traversal
+    bounds = np.r_[0.0, events, len(coords) - 1.0]
+    piece = np.flatnonzero(np.diff(bounds) > 1e-12)
+    mid = (bounds[piece] + bounds[piece + 1]) / 2.0
+    i = np.minimum(np.floor(mid).astype(np.int64), len(coords) - 2)
+    xy = coords[i] + (mid - i)[:, None] * (coords[i + 1] - coords[i])
+    rho = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)
+    inside = (ann.inner < rho) & (rho < ann.outer)
+    # the event index opening and closing each run of inside pieces (-1 is
+    # the path start); a run with no close is open at the end of the path
+    was_inside = np.r_[False, inside[:-1]]
+    closes = piece[was_inside & ~inside] - 1
+    opens = piece[inside & ~was_inside][: len(closes)] - 1
+    keep = opens >= 0
+    opens, closes = opens[keep], closes[keep]
+    keep = which[opens] != which[closes]
+    labels = [] if edge_labels is None else edge_labels
+    arms = [
+        TraversalArm(
+            "Entering" if which[a] == 1 else "Exiting",
+            frozenset(
+                int(lab)
+                for lab in labels[math.floor(events[a]):math.ceil(events[b])]
+                if lab >= 0
+            ),
+        )
+        for a, b in zip(opens[keep].tolist(), closes[keep].tolist())
+    ]
     return len(arms), arms
 
 
@@ -536,6 +514,13 @@ def box_dimension(p: Polyline, scales: Sequence[float]) -> float:
     return float(slope)
 
 
+def _edges(coords: np.ndarray) -> np.ndarray:
+    """A polyline's edges as (n, 4) segments; one point edge for one vertex."""
+    if len(coords) == 1:
+        return np.hstack([coords, coords])
+    return np.hstack([coords[:-1], coords[1:]])
+
+
 def polyline_sup_distance(p: Polyline, q: Polyline, step: float = 0.01) -> float:
     """Symmetric sup of point-to-curve distances between two polylines.
 
@@ -555,48 +540,19 @@ def polyline_sup_distance(p: Polyline, q: Polyline, step: float = 0.01) -> float
         return np.asarray(out)
 
     def one_sided(src, dst):
-        worst = 0.0
-        ax = dst[:-1, 0]
-        ay = dst[:-1, 1]
-        dx = np.diff(dst[:, 0])
-        dy = np.diff(dst[:, 1])
-        dd = np.maximum(dx * dx + dy * dy, 1e-300)
-        for x, y in src:
-            t = np.clip(((x - ax) * dx + (y - ay) * dy) / dd, 0.0, 1.0)
-            d = np.min(np.hypot(x - ax - t * dx, y - ay - t * dy))
-            worst = max(worst, float(d))
-        return worst
+        edges = _edges(dst)
+        return max(float(radial_interval(edges, x, y)[0].min()) for x, y in src)
 
     a = resample(p.coords)
     b = resample(q.coords)
-    if len(a) < 2 or len(b) < 2:
-        return float(
-            max(
-                np.max(np.hypot(a[:, 0] - b[0, 0], a[:, 1] - b[0, 1])),
-                np.max(np.hypot(b[:, 0] - a[0, 0], b[:, 1] - a[0, 1])),
-            )
-        )
     return max(one_sided(a, b), one_sided(b, a))
 
 
 def hits_all_balls(p: Polyline, balls: Sequence[tuple]) -> bool:
     """True iff the polyline meets every closed ball (center, radius)."""
-    coords = p.coords
+    edges = _edges(p.coords)
     for center, radius in balls:
-        cx = center.x if isinstance(center, Point) else center[0]
-        cy = center.y if isinstance(center, Point) else center[1]
-        if len(coords) == 1:
-            d = math.hypot(coords[0, 0] - cx, coords[0, 1] - cy)
-        else:
-            ax = coords[:-1, 0] - cx
-            ay = coords[:-1, 1] - cy
-            ddx = np.diff(coords[:, 0])
-            ddy = np.diff(coords[:, 1])
-            dd = ddx * ddx + ddy * ddy
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(dd > 0, -(ax * ddx + ay * ddy) / dd, 0.0)
-            t = np.clip(t, 0.0, 1.0)
-            d = float(np.min(np.hypot(ax + t * ddx, ay + t * ddy)))
-        if d > radius:
+        cx, cy = (center.x, center.y) if isinstance(center, Point) else (center[0], center[1])
+        if float(radial_interval(edges, cx, cy)[0].min()) > radius:
             return False
     return True

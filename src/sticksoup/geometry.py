@@ -30,9 +30,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Stick:
@@ -87,12 +84,6 @@ class Box:
 
     def center(self) -> Point:
         return Point((self.min.x + self.max.x) / 2, (self.min.y + self.max.y) / 2)
-
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return (
-            self.min.x - tol <= p.x <= self.max.x + tol
-            and self.min.y - tol <= p.y <= self.max.y + tol
-        )
 
 
 @dataclass(frozen=True)

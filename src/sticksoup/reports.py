@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +55,6 @@ class EstimateReport:
             "master_seed": self.master_seed,
             "params": self.params,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def from_successes(successes: int, n_trials: int, master_seed: int, params: dict
@@ -141,9 +137,6 @@ class DecayReport:
             "master_seed": self.master_seed,
             "params": self.params,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["m,n_trials,successes,estimate,stderr,ci_lo,ci_hi"]

@@ -225,12 +225,18 @@ def _covered_top_bottom_oracle(cfg, box):
     return any(uf.find(int(i)) == root for i in np.flatnonzero(top))
 
 
+def _clipped_segment(arr, s):
+    """Stick s clipped to the arrangement's box, as a Segment."""
+    x1, y1, x2, y2 = arr.clipped[arr.stick_ids == s][0]
+    return Segment(Point(x1, y1), Point(x2, y2))
+
+
 def _clockwise_contact_ok(res):
     """P1: contacts along each stick advance monotonically around its
     clipped boundary cycle (left flank out, right flank back)."""
     coords = res.path.coords
     for s in res.sticks_touched:
-        seg = res.arrangement.stick_segments[s]
+        seg = _clipped_segment(res.arrangement, s)
         e1 = np.array([seg.a.x, seg.a.y])
         d = np.array([seg.b.x - seg.a.x, seg.b.y - seg.a.y])
         L = float(np.hypot(*d))
@@ -274,7 +280,7 @@ def _p3_ok(res, ann):
         if c >= 3:
             return False
         if c == 2:
-            seg = res.arrangement.stick_segments[s]
+            seg = _clipped_segment(res.arrangement, s)
             if len(segment_circle_intersections(seg, ann.center, ann.inner)) != 2:
                 return False
     return True

@@ -128,7 +128,7 @@ class TestAnnulusClip:
         return meets.astype(int) + (meets & (dmin < ann.inner) & ends_out)
 
     def check(self, segs, ann, expected):
-        pieces, owners, _ = _clip_to_region(segs, ann)
+        pieces, owners, _, _ = _clip_to_region(segs, ann)
         assert np.bincount(owners, minlength=len(segs)).tolist() == list(expected)
         assert len(np.unique(pieces, axis=0)) == len(pieces)
 

@@ -477,6 +477,32 @@ class TestChainedSceneRegression:
 
 
 class TestDichotomySmoke:
+    @pytest.mark.parametrize(
+        "half, gap",
+        [(0.5, g) for g in (0.5e-9, 1.1e-9, 1.3e-9, 1.6e-9)]
+        + [(8.0, g) for g in (0.5e-8, 1.44e-8, 2.08e-8, 2.4e-8)],
+    )
+    def test_agreement_at_tip_gap(self, half, gap):
+        # stick A rises through the bottom side to (0.5, 0.5), B runs right
+        # from `gap` beside A's tip to (0.8, 0.5), and C crosses B and the top
+        # side; the [-8, 8]^2 scene is the unit one under z -> 16 z - (8, 8).
+        # The walk and the clusters must join A and B at the same tolerance
+        s, o = 2 * half, half - 0.5
+        box = Box(Point(0.5 - half, 0.5 - half), Point(0.5 + half, 0.5 + half))
+        window = DiskWindow(box.center(), box.diagonal() / 2.0)
+        x0, x1, y = s * 0.5 - o + gap, s * 0.8 - o, s * 0.5 - o
+        cfg = cfg_from(
+            [
+                [s * 0.5 - o, s * 0.2 - o, s * 0.3, math.pi / 2],
+                [(x0 + x1) / 2, y, (x1 - x0) / 2, 0.0],
+                [s * 0.7 - o, s * 0.75 - o, s * 0.35, math.pi / 2],
+            ],
+            window,
+        )
+        res = trace_exploration(build_arrangement(cfg, box))
+        part = covered_components(cfg.stick_data, box)
+        assert (res.outcome == "Top") == part.any_cluster_touching("bottom", "top")
+
     def test_agreement_with_cluster_oracle(self):
         mismatches = 0
         for i in range(60):
@@ -561,6 +587,52 @@ class TestCountTraversals:
         k, arms = count_traversals(p, self.ANN, edge_labels=[7])
         assert k == 2
         assert all(a.sticks_used == frozenset({7}) for a in arms)
+
+    # (path, [(direction, sticks used)]) with edge labels [5, -1, 9]
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            ([(1.5, 0), (3, 0)], []),                      # starts inside
+            ([(-3, 0.01), (1.5, 0.01)], [("Entering", {5})]),  # ends inside
+            ([(-3, 0), (-1, 0), (-3, 0.5)], []),           # vertex on the inner circle
+            ([(-3, 0), (-2, 0), (3, 0)], [("Entering", set()), ("Exiting", set())]),
+            ([(-3, 2), (3, 2)], []),                       # tangent to the outer circle
+            ([(-3, 0.01), (-1.5, 0.01), (3, 0.01)],
+             [("Entering", {5}), ("Exiting", set())]),
+        ],
+    )
+    def test_traversal_rule(self, points, expected):
+        labels = [5, -1, 9][: len(points) - 1]
+        k, arms = count_traversals(Polyline(points), self.ANN, labels)
+        assert k == len(expected)
+        assert [(a.direction, set(a.sticks_used)) for a in arms] == expected
+
+
+# sha256 of repr([(count, [(direction, sorted sticks used)])]) over the three
+# `estimate h1 --mmax 3` annuli A(2, 4), A(1, 4), A(1/2, 4) for the walks of
+# GOLDEN_WALKS_H1, and the counts; recorded when count_traversals still
+# classified the pieces of the path one at a time
+GOLDEN_TRAVERSALS_H1 = {
+    1: ("9671f396c8ae1853f81b9001fd15aea7cb7050432e9fec1a43e457f1d3c47c28", [2, 2, 0]),
+    2: ("2f416977930dda54acab0ce1ad1fc365814603b6f6d3816d4fb8198db66c93ea", [0, 0, 0]),
+    3: ("2f416977930dda54acab0ce1ad1fc365814603b6f6d3816d4fb8198db66c93ea", [0, 0, 0]),
+    4: ("2f416977930dda54acab0ce1ad1fc365814603b6f6d3816d4fb8198db66c93ea", [0, 0, 0]),
+    5: ("b353e53975bda841d3269e6d1ec1d16a0f33208acb2815d61e63d69680d964b9", [4, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TRAVERSALS_H1))
+def test_golden_traversals_h1_size(seed):
+    box = Box(Point(-8, -8), Point(8, 8))
+    window = DiskWindow(box.center(), box.diagonal() / 2.0)
+    cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+    res = trace_exploration(build_arrangement(cfg, box))
+    rows = []
+    for inner in (2.0, 1.0, 0.5):
+        k, arms = count_traversals(res.path, Annulus(Point(0, 0), inner, 4.0), res.edge_labels)
+        rows.append((k, [(a.direction, sorted(a.sticks_used)) for a in arms]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (digest, [k for k, _ in rows]) == GOLDEN_TRAVERSALS_H1[seed]
 
 
 class TestPolylineCrossesSegment:
@@ -647,6 +719,13 @@ class TestRefinementDiagnostic:
         p = Polyline([Point(0, 0), Point(1, 0), Point(1, 1)])
         assert polyline_sup_distance(p, p) == pytest.approx(0.0, abs=1e-12)
 
+    def test_parallel_segments(self):
+        from sticksoup.exploration import polyline_sup_distance
+
+        p = Polyline([Point(0, 0), Point(1, 0)])
+        q = Polyline([Point(0, 0.3), Point(1, 0.3)])
+        assert polyline_sup_distance(p, q) == 0.3
+
 
 class TestHitsAllBalls:
     PATH = Polyline([Point(0, 0), Point(1, 0), Point(1, 1)])
@@ -662,3 +741,12 @@ class TestHitsAllBalls:
 
     def test_closed_ball_touch(self):
         assert hits_all_balls(self.PATH, [((0.5, 0.1), 0.1)])
+
+    def test_one_vertex_path(self):
+        p = Polyline([Point(0.5, 0.5)])
+        assert hits_all_balls(p, [((0.5, 0.55), 0.1), ((0.45, 0.5), 0.1)])
+        assert not hits_all_balls(p, [((0.5, 0.55), 0.1), ((0.5, 0.7), 0.1)])
+
+    def test_point_centre(self):
+        assert hits_all_balls(self.PATH, [(Point(1.05, 0.5), 0.1)])
+        assert not hits_all_balls(self.PATH, [(Point(0.5, 0.5), 0.1)])
