@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .geometry import (
     Annulus,
     Box,
-    Disk,
     GeometryError,
     Point,
     Polyline,

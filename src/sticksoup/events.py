@@ -13,22 +13,21 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import (
-    REL_EPS,
     Annulus,
     Box,
-    Disk,
     Stick,
     _hits_vertical,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
+    box_sides,
     candidate_pairs,
+    components,
     line_circle_roots,
     radial_interval,
+    region_tol,
     sticks_to_segments,
 )
 from .soup import Configuration
@@ -61,48 +60,42 @@ class ClusterPartition:
 
 
 def _clip_to_region(segs: np.ndarray, region):
-    """Clip segments to a closed region.
+    """Clip segments to a closed box or annulus.
 
-    Returns (pieces (m, 4), owners (m,), touch: dict[str, bool array (m,)],
-    tol), where tol is the region's coincidence tolerance.  A segment passing
-    through the open hole of an annulus yields two pieces.
+    Returns (pieces (m, 4), owners (m,), touch: dict[str, bool array (m,)]).
+    A segment passing through the open hole of an annulus yields two pieces.
+    Pieces no longer than the region's tolerance are dropped.
     """
-    eps = REL_EPS
+    if not isinstance(region, (Box, Annulus)):
+        raise TypeError(f"unsupported region {region!r}")
+    tol = region_tol(region)
     if isinstance(region, Box):
         keep, clipped = batch_clip_to_box(segs, region)
-        owners = np.flatnonzero(keep)
-        tol = eps * max(region.diagonal(), 1.0)
-        touch = {}
-        for name, test in (
-            ("bottom", lambda P: np.abs(P[:, 1] - region.min.y) <= tol),
-            ("top", lambda P: np.abs(P[:, 1] - region.max.y) <= tol),
-            ("left", lambda P: np.abs(P[:, 0] - region.min.x) <= tol),
-            ("right", lambda P: np.abs(P[:, 0] - region.max.x) <= tol),
-        ):
-            touch[name] = test(clipped[:, 0:2]) | test(clipped[:, 2:4])
-        return clipped, owners, touch, tol
+        start = box_sides(clipped[:, 0:2], region, tol)
+        end = box_sides(clipped[:, 2:4], region, tol)
+        return clipped, np.flatnonzero(keep), {k: start[k] | end[k] for k in start}
 
-    if isinstance(region, Disk):
-        cx, cy, rad = region.center.x, region.center.y, region.radius
-        pieces, owners = _clip_to_disk(segs, cx, cy, rad)
-        tol = eps * max(rad, 1.0)
-        dmin, dmax = radial_interval(pieces, cx, cy)
-        return pieces, owners, {"circle": dmax >= rad - tol}, tol
-
-    if isinstance(region, Annulus):
-        cx, cy = region.center.x, region.center.y
-        outer_pieces, outer_owners = _clip_to_disk(segs, cx, cy, region.outer)
-        pieces, owners = _subtract_open_disk(
-            outer_pieces, outer_owners, cx, cy, region.inner
-        )
-        tol = eps * max(region.outer, 1.0)
-        dmin, dmax = radial_interval(pieces, cx, cy)
-        return pieces, owners, {
-            "inner": dmin <= region.inner + tol,
-            "outer": dmax >= region.outer - tol,
-        }, tol
-
-    raise TypeError(f"unsupported region {region!r}")
+    cx, cy = region.center.x, region.center.y
+    t0, t1 = _segment_disk_params(segs, cx, cy, region.outer)
+    outer, owners = _materialize(segs, np.arange(len(segs)), t0, t1, tol)
+    # each outer piece splits at the open inner disk into the part before it,
+    # [0, h0], and the part after it, [h1, 1]; a piece missing the hole keeps
+    # all of itself in the first and an empty second
+    h0, h1 = _segment_disk_params(outer, cx, cy, region.inner)
+    hole = h1 > h0
+    n = len(outer)
+    pieces, owners = _materialize(
+        np.vstack([outer, outer]),
+        np.concatenate([owners, owners]),
+        np.concatenate([np.zeros(n), np.where(hole, h1, 1.0)]),
+        np.concatenate([np.where(hole, h0, 1.0), np.ones(n)]),
+        tol,
+    )
+    dmin, dmax = radial_interval(pieces, cx, cy)
+    return pieces, owners, {
+        "inner": dmin <= region.inner + tol,
+        "outer": dmax >= region.outer - tol,
+    }
 
 
 def _segment_disk_params(segs: np.ndarray, cx: float, cy: float, rad: float):
@@ -135,28 +128,6 @@ def _materialize(segs, owners, t0, t1, min_len_eps):
     return out, owners[keep]
 
 
-def _clip_to_disk(segs: np.ndarray, cx: float, cy: float, rad: float):
-    t0, t1 = _segment_disk_params(segs, cx, cy, rad)
-    owners = np.arange(len(segs))
-    return _materialize(segs, owners, t0, t1, REL_EPS * max(rad, 1.0))
-
-
-def _subtract_open_disk(segs: np.ndarray, owners: np.ndarray, cx: float,
-                        cy: float, rad: float):
-    """Remove the open inner disk; a segment through it splits in two."""
-    h0, h1 = _segment_disk_params(segs, cx, cy, rad)
-    min_len = REL_EPS * max(rad, 1.0)
-    hole = h1 > h0
-    left, lo = _materialize(
-        segs, owners, np.zeros(len(segs)), np.where(hole, h0, 1.0), min_len
-    )
-    # zero-length (dropped) right piece unless the segment crosses the hole
-    right, ro = _materialize(
-        segs, owners, np.where(hole, h1, 1.0), np.ones(len(segs)), min_len
-    )
-    return np.vstack([left, right]), np.concatenate([lo, ro])
-
-
 def covered_components(
     sticks: Sequence[Stick] | np.ndarray, region
 ) -> ClusterPartition:
@@ -172,7 +143,7 @@ def covered_components(
 
 def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
     """covered_components of the sticks given as an (n, 4) endpoint array."""
-    pieces, owners, touch, tol = _clip_to_region(segs, region)
+    pieces, owners, touch = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
     n = len(kept)
     if n == 0:
@@ -182,13 +153,10 @@ def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
     if len(pieces) > 1:
         I, J = candidate_pairs(pieces)
         if len(I):
-            hits, _, _, _ = batch_pair_intersections(pieces, I, J, tol)
+            hits, _, _, _ = batch_pair_intersections(pieces, I, J, region_tol(region))
             ri = node[I[hits]]
             rj = node[J[hits]]
-    graph = coo_matrix(
-        (np.ones(len(ri), dtype=np.int8), (ri, rj)), shape=(n, n)
-    )
-    n_clusters, labels = connected_components(graph, directed=False)
+    n_clusters, labels = components(n, ri, rj)
     # one bit per boundary piece in each cluster's code, then one shared
     # frozenset per distinct code
     names = list(touch)

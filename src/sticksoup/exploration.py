@@ -33,9 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-
 from .geometry import (
     REL_EPS,
     Annulus,
@@ -43,12 +40,16 @@ from .geometry import (
     Point,
     Polyline,
     Segment,
+    _lexsort2,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
+    box_sides,
     candidate_pairs,
+    components,
     line_circle_roots,
     radial_interval,
+    region_tol,
 )
 from .soup import Configuration
 
@@ -63,16 +64,6 @@ class DegeneracyError(RuntimeError):
 
 class TraceError(RuntimeError):
     """Internal invariant of the exploration walk violated."""
-
-
-def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
-    """``np.lexsort((minor, major))`` for a non-negative integer ``major``,
-    bit for bit and ties included: the stable rank of ``minor`` folds the two
-    keys into one key that no two elements share."""
-    n = len(minor)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(minor, kind="stable")] = np.arange(n)
-    return np.argsort(major * n + rank)
 
 
 @dataclass
@@ -133,7 +124,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     """
     c.window.require_contains(b.center(), b.diagonal() / 2.0)
 
-    eps = REL_EPS * max(b.diagonal(), 1.0)
+    eps = region_tol(b)
     sides = np.array(
         [
             [b.min.x, b.min.y, b.max.x, b.min.y],
@@ -153,9 +144,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
     I, J, hx, hy, overlap = I[hits], J[hits], px[hits], py[hits], overlap[hits]
     # the component of the bottom side (segment 0); new ids keep the old order
-    _, comp = connected_components(
-        coo_matrix((np.ones(len(I)), (I, J)), shape=(n_segs, n_segs)), directed=False
-    )
+    _, comp = components(n_segs, I, J)
     reach = comp == comp[0]
     new_id = np.cumsum(reach) - 1
     inside = reach[I]
@@ -200,10 +189,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     n_ids = 2 * n_segs + len(hx)
     ident = np.r_[np.arange(n_ids), np.arange(2 * n_segs, n_ids)][perm]
     link = np.flatnonzero(same_seg & (np.diff(x) ** 2 + np.diff(y) ** 2 <= eps * eps))
-    _, comp = connected_components(
-        coo_matrix((np.ones(len(link)), (ident[link], ident[link + 1])), shape=(n_ids, n_ids)),
-        directed=False,
-    )
+    _, comp = components(n_ids, ident[link], ident[link + 1])
     group = comp[ident]
     # each vertex is founded by its first cut, and numbered in founder order
     founder = np.full(n_ids, n_cuts)
@@ -255,11 +241,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
             f"segments labelled {label[rotation[k]]} and {label[rotation[nxt[k]]]}"
         )
 
-    tol = eps
-    on_left = np.abs(vertex_xy[:, 0] - b.min.x) <= tol
-    on_right = np.abs(vertex_xy[:, 0] - b.max.x) <= tol
-    on_top = np.abs(vertex_xy[:, 1] - b.max.y) <= tol
-    on_bottom = np.abs(vertex_xy[:, 1] - b.min.y) <= tol
+    on = box_sides(vertex_xy, b, eps)
 
     # the bottom side's start point is the corner (min.x, min.y)
     corner = int(vid[np.flatnonzero(perm == 0)[0]])
@@ -280,10 +262,10 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
         rotation=rotation,
         rot_start=rot_start,
         rot_pos=rot_pos,
-        on_left=on_left,
-        on_right=on_right,
-        on_top=on_top,
-        on_bottom=on_bottom,
+        on_left=on["left"],
+        on_right=on["right"],
+        on_top=on["top"],
+        on_bottom=on["bottom"],
         start_dart=int(bottom[-1]),
         stick_ids=stick_ids,
         clipped=clipped,
@@ -350,9 +332,7 @@ def trace_exploration(a: Arrangement) -> ExplorationResult:
 
 def last_left_subpath(r: ExplorationResult, b: Box) -> Polyline:
     """Suffix of the path from its last touch of the left side of the box."""
-    tol = REL_EPS * max(b.diagonal(), 1.0)
-    xs = r.path.coords[:, 0]
-    hits = np.flatnonzero(xs <= b.min.x + tol)
+    hits = np.flatnonzero(box_sides(r.path.coords, b, region_tol(b))["left"])
     start = int(hits[-1]) if len(hits) else 0
     return Polyline(r.path.coords[start:])
 
@@ -519,33 +499,6 @@ def _edges(coords: np.ndarray) -> np.ndarray:
     if len(coords) == 1:
         return np.hstack([coords, coords])
     return np.hstack([coords[:-1], coords[1:]])
-
-
-def polyline_sup_distance(p: Polyline, q: Polyline, step: float = 0.01) -> float:
-    """Symmetric sup of point-to-curve distances between two polylines.
-
-    A diagnostic for comparing the traces of nested truncations of one
-    sample; no convergence rate is asserted anywhere, the number is only
-    reported.  Curves are resampled at the given arc step.
-    """
-
-    def resample(coords):
-        if len(coords) < 2:
-            return coords
-        out = [coords[0]]
-        for a, b in zip(coords[:-1], coords[1:]):
-            n = max(int(math.ceil(math.hypot(*(b - a)) / step)), 1)
-            for t in range(1, n + 1):
-                out.append(a + (b - a) * (t / n))
-        return np.asarray(out)
-
-    def one_sided(src, dst):
-        edges = _edges(dst)
-        return max(float(radial_interval(edges, x, y)[0].min()) for x, y in src)
-
-    a = resample(p.coords)
-    b = resample(q.coords)
-    return max(one_sided(a, b), one_sided(b, a))
 
 
 def hits_all_balls(p: Polyline, balls: Sequence[tuple]) -> bool:

@@ -1,9 +1,10 @@
 """Planar primitives: points, sticks, segments, boxes, annuli, polylines.
 
-Plain double precision with a relative coincidence tolerance (``REL_EPS``
-scaled by the extent of the inputs).  Inputs that land inside the tolerance
-band are merged or reported, never silently repaired; under the continuous
-stick-soup law such configurations have probability zero.
+Plain double precision with a relative coincidence tolerance: ``REL_EPS``
+scaled by the size of the region of interest (``region_tol``), or by the
+extent of the inputs in the scalar kit.  Inputs that land inside the
+tolerance band are merged or reported, never silently repaired; under the
+continuous stick-soup law such configurations have probability zero.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 REL_EPS = 1e-9
 
@@ -87,16 +90,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise GeometryError(f"disk radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class Annulus:
     """Closed annulus between the inner and outer circles around ``center``."""
 
@@ -109,6 +102,36 @@ class Annulus:
             raise GeometryError(
                 f"annulus needs 0 < inner < outer, got ({self.inner}, {self.outer})"
             )
+
+
+def region_tol(region) -> float:
+    """Coincidence tolerance of a region: ``REL_EPS * max(size, 1)``.
+
+    The size is a box's diagonal, an annulus's outer radius, or the
+    ``radius`` of anything else (a disk window).  The floor keeps the band
+    from shrinking below ``REL_EPS`` on small regions.  It is also why exact
+    homothety covariance (detectors commuting with z -> lambda z) holds only
+    for regions of size at least 1 before and after the map: only there does
+    the tolerance scale with the region.
+    """
+    if isinstance(region, Box):
+        size = region.diagonal()
+    elif isinstance(region, Annulus):
+        size = region.outer
+    else:
+        size = region.radius
+    return REL_EPS * max(size, 1.0)
+
+
+def box_sides(xy: np.ndarray, b: Box, tol: float) -> dict[str, np.ndarray]:
+    """Per point of an (n, 2) array, whether it lies within tol of each side
+    line of the box."""
+    return {
+        "bottom": np.abs(xy[:, 1] - b.min.y) <= tol,
+        "right": np.abs(xy[:, 0] - b.max.x) <= tol,
+        "top": np.abs(xy[:, 1] - b.max.y) <= tol,
+        "left": np.abs(xy[:, 0] - b.min.x) <= tol,
+    }
 
 
 class Polyline:
@@ -263,7 +286,7 @@ def clip_segment_to_box(s: Segment, b: Box) -> Segment | None:
     """
     ax, ay = s.a.x, s.a.y
     dx, dy = s.b.x - ax, s.b.y - ay
-    eps_len = REL_EPS * max(b.diagonal(), 1.0)
+    eps_len = region_tol(b)
     t0, t1 = 0.0, 1.0
     for p, q in (
         (-dx, ax - b.min.x),
@@ -377,7 +400,7 @@ def batch_clip_to_box(segs: np.ndarray, b: Box):
     """
     ax, ay = segs[:, 0], segs[:, 1]
     dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
-    eps_len = REL_EPS * max(b.diagonal(), 1.0)
+    eps_len = region_tol(b)
     t0 = np.zeros(len(segs))
     t1 = np.ones(len(segs))
     keep = np.ones(len(segs), dtype=bool)
@@ -414,6 +437,16 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     if s.size == 0:
         return s
     return s[np.r_[True, s[1:] != s[:-1]]]
+
+
+def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
+    """``np.lexsort((minor, major))`` for a non-negative integer ``major``,
+    bit for bit and ties included: the stable rank of ``minor`` folds the two
+    keys into one key that no two elements share."""
+    n = len(minor)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(minor, kind="stable")] = np.arange(n)
+    return np.argsort(major * n + rank)
 
 
 def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
@@ -578,3 +611,12 @@ def batch_pair_intersections(segs: np.ndarray, I: np.ndarray, J: np.ndarray,
     px = ax + tc * rx
     py = ay + tc * ry
     return hits, px, py, overlap
+
+
+def components(n: int, i: np.ndarray, j: np.ndarray):
+    """``(count, labels)`` of the connected components of the undirected
+    graph on n nodes with edges (i[k], j[k]).  Edge weights are float64
+    ones, so summed duplicate edges cannot wrap to zero."""
+    return connected_components(
+        coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
+    )

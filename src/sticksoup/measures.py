@@ -8,11 +8,11 @@ parameter ranges; infinities are returned as ``math.inf``, not raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .reports import EstimateReport, wilson_interval
+from .reports import EstimateReport, from_successes
 from .geometry import _hits_vertical, sticks_to_segments
 from .seeds import derive_seed
 from .soup import InfiniteMeasureError, hit_weights_disk, _sample_hit_sticks
@@ -165,26 +165,16 @@ def lr1_measure(
     crossings = int(np.count_nonzero(
         _hits_vertical(segs, 0.0, 0.0, l) & _hits_vertical(segs, width, 0.0, l)
     ))
-    frac = crossings / n_trials
-    se_frac = math.sqrt(max(frac * (1.0 - frac), 0.0) / n_trials)
-    mu_hat = total_weight * frac
-    prob = 1.0 - math.exp(-u * mu_hat)
-    return EstimateReport(
-        n_trials=n_trials,
-        successes=crossings,
-        estimate=frac,
-        std_error=se_frac,
-        ci95=wilson_interval(crossings, n_trials),
-        master_seed=master_seed,
-        params={
-            "kind": "lr1_measure",
-            "alpha": alpha,
-            "l": l,
-            "k": k,
-            "u": u,
-            "r_min": r_min,
-            "mu_hat": mu_hat,
-            "mu_std_error": total_weight * se_frac,
-            "probability": prob,
-        },
-    )
+    report = from_successes(crossings, n_trials, master_seed, {})
+    mu_hat = total_weight * report.estimate
+    return replace(report, params={
+        "kind": "lr1_measure",
+        "alpha": alpha,
+        "l": l,
+        "k": k,
+        "u": u,
+        "r_min": r_min,
+        "mu_hat": mu_hat,
+        "mu_std_error": total_weight * report.std_error,
+        "probability": 1.0 - math.exp(-u * mu_hat),
+    })

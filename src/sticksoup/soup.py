@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .geometry import REL_EPS, GeometryError, Point, Stick, radial_interval, sticks_to_segments
+from .geometry import GeometryError, Point, Stick, radial_interval, region_tol, sticks_to_segments
 
 
 class InfiniteMeasureError(ValueError):
@@ -55,7 +55,7 @@ class DiskWindow:
         """Raise ValueError unless the closed disk B(center, radius) lies in
         the window, up to the relative tolerance of the geometry kernels."""
         d = math.hypot(center.x - self.center.x, center.y - self.center.y)
-        if d + radius > self.radius + REL_EPS * max(self.radius, 1.0):
+        if d + radius > self.radius + region_tol(self):
             raise ValueError(
                 f"region of radius {radius} at {center} exceeds the sampling window; "
                 "sample a larger window"
@@ -297,12 +297,13 @@ def configuration_from_jsonl(stream: IO[str] | Iterable[str]) -> Configuration:
     data = np.array(
         [_finite_values(line, _STICK_KEYS, f"line {n}") for n, line in lines[1:]], dtype=float
     ).reshape(-1, 4)
+    window = DiskWindow(Point(wx, wy), a)
     dmin, _ = radial_interval(sticks_to_segments(data), wx, wy)
     for bad, what in (
         (data[:, 2] < r_min, f"r below r_min = {r_min}"),
         (np.abs(data[:, 3]) > math.pi / 2, "v outside [-pi/2, pi/2]"),
-        (dmin > a + REL_EPS * max(a, 1.0), "stick misses the window disk"),
+        (dmin > a + region_tol(window), "stick misses the window disk"),
     ):
         if np.any(bad):
             raise ValueError(f"line {lines[1 + int(np.argmax(bad))][0]}: {what}")
-    return Configuration(SoupParams(u, alpha, seed), DiskWindow(Point(wx, wy), a), r_min, seed, data)
+    return Configuration(SoupParams(u, alpha, seed), window, r_min, seed, data)

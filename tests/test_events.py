@@ -16,10 +16,12 @@ from sticksoup.events import (
 from sticksoup.geometry import (
     Annulus,
     Box,
-    Disk,
     Point,
+    Segment,
     Stick,
     radial_interval,
+    segment_intersection,
+    stick_to_segment,
     sticks_to_segments,
 )
 from sticksoup.seeds import derive_seed
@@ -68,13 +70,6 @@ class TestCoveredComponents:
         sticks = [Stick(Point(0.5, 0.5), 0.7, math.pi / 2)]  # spans bottom to top
         part = covered_components(sticks, self.BOX)
         assert part.touches[0] >= {"bottom", "top"}
-
-    def test_disk_region(self):
-        part = covered_components(
-            [Stick(Point(0.0, 0.0), 2.0, 0.0)], Disk(Point(0, 0), 1.0)
-        )
-        assert part.n_clusters == 1
-        assert part.touches[0] == {"circle"}
 
     def test_chain_outside_region_does_not_connect(self):
         # two sticks crossing each other outside the annulus stay separate
@@ -128,7 +123,7 @@ class TestAnnulusClip:
         return meets.astype(int) + (meets & (dmin < ann.inner) & ends_out)
 
     def check(self, segs, ann, expected):
-        pieces, owners, _, _ = _clip_to_region(segs, ann)
+        pieces, owners, _ = _clip_to_region(segs, ann)
         assert np.bincount(owners, minlength=len(segs)).tolist() == list(expected)
         assert len(np.unique(pieces, axis=0)) == len(pieces)
 
@@ -156,6 +151,13 @@ class TestAnnulusClip:
         expected = self.expected_pieces(segs, ann)
         assert np.any(expected == 2) and np.any(expected == 1)
         self.check(segs, ann, expected)
+
+    def test_hole_stub_below_tolerance_dropped(self):
+        # the piece past the inner circle is 5e-9 long: below A(1, 16)'s
+        # tolerance 16e-9, so it is dropped like any other sub-tolerance piece
+        segs = np.array([[0.5, 0.0, 1.0 + 5e-9, 0.0]])
+        pieces, owners, _ = _clip_to_region(segs, Annulus(Point(0, 0), 1.0, 16.0))
+        assert len(pieces) == 0 and len(owners) == 0
 
 
 class TestArmEvent:
@@ -238,6 +240,17 @@ class TestLr1Event:
     def test_inconsistent_k_rejected(self):
         with pytest.raises(ValueError):
             lr1_event(cfg_from([]), self.BOX, 3.0)
+
+    @pytest.mark.parametrize("cx, expected", [(1.0, True), (1.0 - 5e-7, False)])
+    def test_stick_ending_at_the_far_side(self, cx, expected):
+        # a stick from x = cx - 1 to x = cx + 1: it ends exactly on the right
+        # side at cx = 1 and 5e-7 short of it below
+        row = [cx, 0.5, 1.0, 0.0]
+        right = Segment(Point(2.0, 0.0), Point(2.0, 1.0))
+        stick = stick_to_segment(Stick(Point(cx, 0.5), 1.0, 0.0))
+        point, _ = segment_intersection(stick, right)
+        assert (point is not None) == expected
+        assert lr1_event(cfg_from([row]), self.BOX, 2.0) == expected
 
 
 class TestDoubleIntersection:

@@ -10,7 +10,6 @@ from sticksoup.events import covered_components
 from sticksoup.exploration import (
     BOTTOM,
     DegeneracyError,
-    _lexsort2,
     box_dimension,
     build_arrangement,
     count_traversals,
@@ -25,6 +24,7 @@ from sticksoup.geometry import (
     Point,
     Polyline,
     Segment,
+    _lexsort2,
     stick_to_segment,
     segment_intersection,
 )
@@ -694,37 +694,6 @@ class TestBoxDimension:
     def test_single_scale_rejected(self):
         with pytest.raises(ValueError):
             box_dimension(Polyline([Point(0, 0), Point(1, 1)]), [0.1, 0.1])
-
-
-class TestRefinementDiagnostic:
-    def test_sup_distance_of_coupled_refinements_reported(self, capsys):
-        # diagnostic only: the walk of a coarser truncation of the same sample
-        # is compared to the finer walk; no bound is asserted
-        from sticksoup.exploration import polyline_sup_distance
-        from sticksoup.soup import restrict_configuration
-
-        fine = sample_configuration(SoupParams(0.3, 2.0, 0), UNIT_WINDOW, 0.02, 77)
-        res_fine = trace_exploration(build_arrangement(fine, UNIT_BOX))
-        dists = []
-        for r in (0.05, 0.1):
-            coarse = restrict_configuration(fine, r)
-            res = trace_exploration(build_arrangement(coarse, UNIT_BOX))
-            dists.append(polyline_sup_distance(res_fine.path, res.path))
-        print(f"refinement sup-distances at r=(0.05, 0.1): {dists}")
-        assert all(d >= 0 for d in dists)
-
-    def test_identical_paths_have_zero_distance(self):
-        from sticksoup.exploration import polyline_sup_distance
-
-        p = Polyline([Point(0, 0), Point(1, 0), Point(1, 1)])
-        assert polyline_sup_distance(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_parallel_segments(self):
-        from sticksoup.exploration import polyline_sup_distance
-
-        p = Polyline([Point(0, 0), Point(1, 0)])
-        q = Polyline([Point(0, 0.3), Point(1, 0.3)])
-        assert polyline_sup_distance(p, q) == 0.3
 
 
 class TestHitsAllBalls:

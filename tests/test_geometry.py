@@ -19,6 +19,7 @@ from sticksoup.geometry import (
     candidate_pairs,
     clip_segment_to_box,
     point_segment_distance,
+    region_tol,
     segment_circle_intersections,
     segment_intersection,
     stick_to_segment,
@@ -163,6 +164,17 @@ class TestSegmentCircle:
         for p in segment_circle_intersections(s, Point(cx, cy), rad):
             assert math.hypot(p.x - cx, p.y - cy) == pytest.approx(rad, rel=1e-9, abs=1e-9)
             assert point_segment_distance(p, s) <= 1e-7 * max(1.0, rad, abs(cx), abs(cy))
+
+
+@pytest.mark.parametrize("region, tol", [
+    (Box(Point(0, 0), Point(3, 4)), 5e-9),
+    (Box(Point(0, 0), Point(0.1, 0.1)), 1e-9),  # the floor
+    (Annulus(Point(0, 0), 1.0, 16.0), 16e-9),
+    (DiskWindow(Point(0, 0), 0.5), 1e-9),
+    (DiskWindow(Point(0, 0), 8.0), 8e-9),
+])
+def test_region_tol(region, tol):
+    assert region_tol(region) == pytest.approx(tol, rel=1e-12)
 
 
 class TestClip:
