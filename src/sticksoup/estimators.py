@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .events import arm_event, invasion_sequence, y_statistic
+from .events import arm_event, arm_reach, invasion_sequence, y_statistic
 from .exploration import (
     DegeneracyError,
     build_arrangement,
@@ -22,7 +22,7 @@ from .exploration import (
     last_left_subpath,
     trace_exploration,
 )
-from .geometry import Annulus, Box, Point
+from .geometry import Annulus, Box, Point, region_tol
 from .measures import decorrelation_bound
 from .reports import DecayReport, EstimateReport, fit_decay, from_successes
 from .seeds import derive_seed
@@ -159,6 +159,37 @@ def estimate_probability(
 # decay scans
 
 
+def _scan(
+    params: SoupParams,
+    window: DiskWindow,
+    r_min: float,
+    n_trials: int,
+    master_seed: int,
+    evaluate: Callable[[Configuration], list],
+    row_params: Callable[[int, int], dict],
+    fit_params: dict,
+    trial_seed: int | None = None,
+) -> DecayReport:
+    """One sample per trial and one indicator per row; rows are indexed 1, 2, ...
+
+    ``evaluate`` gives a trial's indicators, ``row_params(index, resamples)``
+    a row's report parameters.  All rows read the same samples, so they are
+    coupled across the index.  The trials and rows are seeded with
+    ``trial_seed`` (default ``master_seed``); the report keeps
+    ``master_seed``.
+    """
+    seed = master_seed if trial_seed is None else trial_seed
+    hits, resamples = run_trials(params, window, r_min, n_trials, seed, evaluate)
+    indices = list(range(1, len(hits[0]) + 1))
+    rows = [
+        from_successes(
+            sum(bool(h[j]) for h in hits), n_trials, seed, row_params(m, resamples)
+        )
+        for j, m in enumerate(indices)
+    ]
+    return fit_decay(indices, rows, master_seed, fit_params)
+
+
 def arm_decay_scan(
     params: SoupParams,
     r_min: float,
@@ -166,32 +197,45 @@ def arm_decay_scan(
     n_trials: int,
     master_seed: int,
 ) -> DecayReport:
-    """P(arm across D(1, 2^m)) for m = 1..m_max with a power-law fit.
+    """P(arm across A(1, 2^m)) for m = 1..m_max with a power-law fit.
 
     Estimates use the truncated soup at r_min, which lower-bounds the
-    untruncated arm probabilities (nested coupling).
+    untruncated arm probabilities (nested coupling).  Each trial samples
+    D(2^m_max) once and clusters its sticks on A(1, 2^m_max) once; row m
+    holds when a cluster touching the inner circle reaches radius 2^m (see
+    arm_reach).  By Poisson restriction each row has the law of the arm
+    event sampled on D(2^m) alone, and the rows are nonincreasing in m
+    trial by trial.
     """
     if m_max < 2:
         raise ValueError("scan needs m_max >= 2")
     origin = Point(0.0, 0.0)
-    rows = []
-    indices = list(range(1, m_max + 1))
-    for m in indices:
-        window = DiskWindow(origin, 2.0 ** m)
-        rep = estimate_probability(
-            ArmEventSpec(Annulus(origin, 1.0, 2.0 ** m)),
-            params,
-            window,
-            r_min,
-            n_trials,
-            derive_seed(master_seed, 1000 + m),
-        )
-        rows.append(rep)
-    return fit_decay(
-        indices,
-        rows,
-        master_seed,
+    outer = 2.0 ** m_max
+    window = DiskWindow(origin, outer)
+    annulus = Annulus(origin, 1.0, outer)
+    reach_needed = [
+        2.0 ** m - region_tol(Annulus(origin, 1.0, 2.0 ** m))
+        for m in range(1, m_max + 1)
+    ]
+
+    def evaluate(cfg):
+        reach = arm_reach(cfg, annulus)
+        return [reach >= need for need in reach_needed]
+
+    return _scan(
+        params, window, r_min, n_trials, master_seed, evaluate,
+        lambda m, resamples: {
+            "event": "ArmEventSpec",
+            "u": params.u,
+            "alpha": params.alpha,
+            "r_min": r_min,
+            "window_a": outer,
+            "resamples": resamples,
+        },
         {"kind": "arm_decay", "u": params.u, "alpha": params.alpha, "r_min": r_min},
+        # row m_max is then the single-annulus estimate_probability of
+        # A(1, 2^m_max) at this seed, sample for sample
+        trial_seed=derive_seed(master_seed, 1000 + m_max),
     )
 
 
@@ -234,22 +278,9 @@ def h1_scan(
         res = trace_exploration(build_arrangement(cfg, box))
         return [count_traversals(res.path, ann)[0] >= k for ann in annuli]
 
-    hits, _ = run_trials(params, window, r_min, n_trials, master_seed, evaluate)
-    successes = [sum(h[j] for h in hits) for j in range(m_max)]
-    indices = list(range(1, m_max + 1))
-    rows = [
-        from_successes(
-            successes[j],
-            n_trials,
-            master_seed,
-            {"kind": "h1", "m": indices[j], "k": k, "u": params.u, "r_min": r_min},
-        )
-        for j in range(m_max)
-    ]
-    return fit_decay(
-        indices,
-        rows,
-        master_seed,
+    return _scan(
+        params, window, r_min, n_trials, master_seed, evaluate,
+        lambda m, _: {"kind": "h1", "m": m, "k": k, "u": params.u, "r_min": r_min},
         {"kind": "h1", "k": k, "u": params.u, "alpha": params.alpha, "r_min": r_min},
     )
 
@@ -434,7 +465,6 @@ def property_void_scan(
     if box is None:
         box = Box(Point(0.0, 0.0), Point(1.0, 1.0))
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
-    n_balls = len(balls)
 
     def evaluate(cfg):
         tail = last_left_subpath(trace_exploration(build_arrangement(cfg, box)), box)
@@ -445,22 +475,9 @@ def property_void_scan(
             prefix.append(alive)
         return prefix
 
-    hits, _ = run_trials(params, window, r_min, n_trials, master_seed, evaluate)
-    successes = [sum(h[n] for h in hits) for n in range(n_balls)]
-    indices = list(range(1, n_balls + 1))
-    rows = [
-        from_successes(
-            successes[j],
-            n_trials,
-            master_seed,
-            {"kind": "void", "n": indices[j], "u": params.u, "r_min": r_min},
-        )
-        for j in range(n_balls)
-    ]
-    return fit_decay(
-        indices,
-        rows,
-        master_seed,
+    return _scan(
+        params, window, r_min, n_trials, master_seed, evaluate,
+        lambda n, _: {"kind": "void", "n": n, "u": params.u, "r_min": r_min},
         {"kind": "void", "u": params.u, "alpha": params.alpha, "r_min": r_min},
     )
 

@@ -128,6 +128,28 @@ def _materialize(segs, owners, t0, t1, min_len_eps):
     return out, owners[keep]
 
 
+def _piece_clusters(segs: np.ndarray, region):
+    """Clip segments to the region and cluster them.
+
+    Returns (pieces, touch, kept, node, labels): the clipped pieces and their
+    boundary flags as from _clip_to_region, the sorted indices of the
+    segments with a nonempty clip, each piece's graph node (its position in
+    ``kept``) and each node's cluster label.
+    """
+    pieces, owners, touch = _clip_to_region(segs, region)
+    kept = _sorted_unique(owners)
+    node = np.searchsorted(kept, owners)
+    ri = rj = np.empty(0, dtype=np.int64)
+    if len(pieces) > 1:
+        I, J = candidate_pairs(pieces)
+        if len(I):
+            hits, _, _, _ = batch_pair_intersections(pieces, I, J, region_tol(region))
+            ri = node[I[hits]]
+            rj = node[J[hits]]
+    _, labels = components(len(kept), ri, rj)
+    return pieces, touch, kept, node, labels
+
+
 def covered_components(
     sticks: Sequence[Stick] | np.ndarray, region
 ) -> ClusterPartition:
@@ -138,25 +160,10 @@ def covered_components(
     both halves end on the inner circle, so this never creates a spurious
     inner-outer connection.
     """
-    return _segment_components(sticks_to_segments(sticks), region)
-
-
-def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
-    """covered_components of the sticks given as an (n, 4) endpoint array."""
-    pieces, owners, touch = _clip_to_region(segs, region)
-    kept = _sorted_unique(owners)
-    n = len(kept)
-    if n == 0:
+    _, touch, kept, node, labels = _piece_clusters(sticks_to_segments(sticks), region)
+    if len(kept) == 0:
         return ClusterPartition([], np.empty(0, dtype=int), 0, {})
-    node = np.searchsorted(kept, owners)  # graph node per clipped piece
-    ri = rj = np.empty(0, dtype=np.int64)
-    if len(pieces) > 1:
-        I, J = candidate_pairs(pieces)
-        if len(I):
-            hits, _, _, _ = batch_pair_intersections(pieces, I, J, region_tol(region))
-            ri = node[I[hits]]
-            rj = node[J[hits]]
-    n_clusters, labels = components(n, ri, rj)
+    n_clusters = int(labels.max()) + 1
     # one bit per boundary piece in each cluster's code, then one shared
     # frozenset per distinct code
     names = list(touch)
@@ -170,23 +177,42 @@ def _segment_components(segs: np.ndarray, region) -> ClusterPartition:
     return ClusterPartition(
         kept.tolist(),
         labels,
-        int(n_clusters),
+        n_clusters,
         {c: table[m] for c, m in enumerate(code.tolist())},
     )
 
 
-def arm_event(c: Configuration, ann: Annulus) -> bool:
-    """True iff a cluster of clipped sticks joins the inner and outer circles."""
+def arm_reach(c: Configuration, ann: Annulus) -> float:
+    """Largest distance from the centre reached by a cluster of sticks clipped
+    to the annulus that touches the inner circle; -inf when none does.
+
+    A path from the inner circle that reaches radius rho <= ann.outer has a
+    prefix inside A(inner, rho), so one cluster build answers the arm event
+    of every annulus A(inner, rho) inside ann (up to the narrow phase's
+    tolerance, which is ann's).
+    """
     c.window.require_contains(ann.center, ann.outer)
     if c.n_sticks == 0:
-        return False
+        return -math.inf
+    cx, cy = ann.center.x, ann.center.y
     segs = c.segments()
-    dmin, dmax = radial_interval(segs, ann.center.x, ann.center.y)
+    dmin, dmax = radial_interval(segs, cx, cy)
     cand = (dmin <= ann.outer) & (dmax >= ann.inner)
     if not np.any(cand):
-        return False
-    part = _segment_components(segs[cand], ann)
-    return part.any_cluster_touching("inner", "outer")
+        return -math.inf
+    pieces, touch, _, node, labels = _piece_clusters(segs[cand], ann)
+    inner = np.zeros(len(labels), dtype=bool)
+    inner[labels[node[touch["inner"]]]] = True
+    reached = inner[labels[node]]
+    if not np.any(reached):
+        return -math.inf
+    _, far = radial_interval(pieces[reached], cx, cy)
+    return float(far.max())
+
+
+def arm_event(c: Configuration, ann: Annulus) -> bool:
+    """True iff a cluster of clipped sticks joins the inner and outer circles."""
+    return arm_reach(c, ann) >= ann.outer - region_tol(ann)
 
 
 def lr1_event(c: Configuration, b: Box, k: float) -> bool:

@@ -461,11 +461,12 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
 def _supercover_cells(segs: np.ndarray, cell: float, x0: float, y0: float):
     """Grid cells traversed by each segment (Amanatides-Woo, lockstep).
 
-    Returns (keys, ids): int64 cell keys and the owning segment index.
+    Returns (ix, iy, ids): int64 cell column and row, and the owning segment
+    index, one entry per (cell, segment).
     """
     n = len(segs)
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return (np.empty(0, dtype=np.int64),) * 3
     x1 = (segs[:, 0] - x0) / cell
     y1 = (segs[:, 1] - y0) / cell
     x2 = (segs[:, 2] - x0) / cell
@@ -491,15 +492,16 @@ def _supercover_cells(segs: np.ndarray, cell: float, x0: float, y0: float):
     tdy = np.abs(inv_dy)
 
     ids_parts = []
-    keys_parts = []
+    ix_parts = []
+    iy_parts = []
     active = np.ones(n, dtype=bool)
-    STRIDE = np.int64(1) << 31
     max_steps = int(np.max(np.abs(jx - ix) + np.abs(jy - iy))) + 1
     for _ in range(max_steps + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        keys_parts.append(ix[idx] * STRIDE + iy[idx])
+        ix_parts.append(ix[idx])
+        iy_parts.append(iy[idx])
         ids_parts.append(idx)
         done = (ix[idx] == jx[idx]) & (iy[idx] == jy[idx])
         active[idx[done]] = False
@@ -513,14 +515,17 @@ def _supercover_cells(segs: np.ndarray, cell: float, x0: float, y0: float):
         tmaxx[gx] += tdx[gx]
         iy[gy] += stepy[gy]
         tmaxy[gy] += tdy[gy]
-    return np.concatenate(keys_parts), np.concatenate(ids_parts)
+    return (np.concatenate(ix_parts), np.concatenate(iy_parts),
+            np.concatenate(ids_parts))
 
 
-def candidate_pairs(segs: np.ndarray, cell: float | None = None):
-    """Index pairs (i < j) whose segments share a grid cell.
+def candidate_pairs(segs: np.ndarray):
+    """Index pairs (i < j) whose segments share a grid cell, sorted by
+    ``i * n + j``.
 
-    Grid cell size defaults to the median segment length; all-pairs under 200
-    segments.  A superset of the truly intersecting pairs.
+    The grid cell size is the median segment length, kept within [span/4096,
+    span/4]; all-pairs under 200 segments.  A superset of the truly
+    intersecting pairs.
     """
     n = len(segs)
     if n < 2:
@@ -528,20 +533,25 @@ def candidate_pairs(segs: np.ndarray, cell: float | None = None):
     if n <= 200:
         return np.triu_indices(n, k=1)
     lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-    if cell is None:
-        span = max(
-            segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
-            segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
-            1e-12,
-        )
-        cell = float(np.median(lengths))
-        cell = min(max(cell, span / 4096.0), span / 4.0)
+    span = max(
+        segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
+        segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
+        1e-12,
+    )
+    cell = min(max(float(np.median(lengths)), span / 4096.0), span / 4.0)
     x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
     y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
-    keys, ids = _supercover_cells(segs, cell, x0, y0)
-    order = np.lexsort((ids, keys))
-    k = keys[order]
-    v = ids[order]
+    ix, iy, ids = _supercover_cells(segs, cell, x0, y0)
+    # one int64 key per (cell, segment): cells in (ix, iy) order, segments in
+    # id order within a cell.  cell >= span/4096 keeps the grid at 4097
+    # cells a side and a walk under 8196 steps, so even walks that round
+    # past their last cell span under 21k cells a side: the key fits in
+    # int64 for any n below 2e10.
+    ix = ix - ix.min()
+    iy = iy - iy.min()
+    key = np.sort((ix * (iy.max() + 1) + iy) * np.int64(n) + ids)
+    k = key // n
+    v = key - k * n
     new_group = np.r_[True, k[1:] != k[:-1]]
     starts = np.flatnonzero(new_group)
     counts = np.diff(np.r_[starts, len(k)])
@@ -549,11 +559,8 @@ def candidate_pairs(segs: np.ndarray, cell: float | None = None):
     within = np.arange(len(k), dtype=np.int64) - starts[grp]
     j_side = np.repeat(np.arange(len(k), dtype=np.int64), within)
     i_side = np.repeat(starts[grp], within) + _concat_ranges(within)
-    raw_i = v[i_side]
-    raw_j = v[j_side]
-    lo = np.minimum(raw_i, raw_j)
-    hi = np.maximum(raw_i, raw_j)
-    uniq = _sorted_unique(lo * np.int64(n) + hi)
+    # ids ascend within a cell, so every pair comes out as (lower, higher)
+    uniq = _sorted_unique(v[i_side] * np.int64(n) + v[j_side])
     return uniq // n, uniq % n
 
 

@@ -23,6 +23,7 @@ from sticksoup.estimators import (
     validate_separated,
     y_gap_samples,
 )
+from sticksoup.events import arm_event
 from sticksoup.exploration import DegeneracyError
 from sticksoup.geometry import Annulus, Box, Point
 from sticksoup.reports import FitError, from_successes, wilson_interval
@@ -154,6 +155,43 @@ class TestArmDecayScan:
         params = SoupParams(1e-12, 2.0, 0)
         with pytest.raises(FitError):
             arm_decay_scan(params, 0.5, 2, 30, 1)
+
+    @pytest.mark.parametrize("m_max, u, r_min", [(2, 0.1, 0.05), (3, 0.1, 0.1), (4, 0.1, 0.2)])
+    def test_rows_are_the_single_annulus_events(self, monkeypatch, m_max, u, r_min):
+        # 100 soups on D(2^m_max) per case: each trial's rows are arm_event on
+        # A(1, 2^m) of the same configuration, m = 1..m_max
+        seen = []
+        real = estimators.run_trials
+
+        def spy(params, window, r_min, n_trials, seed, evaluate):
+            def record(cfg):
+                seen.append((cfg, evaluate(cfg)))
+                return seen[-1][1]
+
+            return real(params, window, r_min, n_trials, seed, record)
+
+        monkeypatch.setattr(estimators, "run_trials", spy)
+        rep = arm_decay_scan(SoupParams(u, 2.0, 0), r_min, m_max, 100, 31)
+        assert len(seen) == 100
+        for cfg, rows in seen:
+            assert cfg.window.radius == 2.0 ** m_max
+            assert rows == [
+                arm_event(cfg, Annulus(ORIGIN, 1.0, 2.0 ** m)) for m in range(1, m_max + 1)
+            ]
+            assert rows == sorted(rows, reverse=True)
+        successes = [r.successes for r in rep.rows]
+        assert successes == [sum(rows[j] for _, rows in seen) for j in range(m_max)]
+        assert successes == sorted(successes, reverse=True)
+        assert successes[0] < 100 and successes[-1] > 0
+
+    def test_rows_share_the_last_rows_samples(self):
+        rep = arm_decay_scan(SoupParams(0.1, 2.0, 0), 0.2, 3, 60, 7)
+        single = estimate_probability(
+            ArmEventSpec(Annulus(ORIGIN, 1.0, 8.0)), SoupParams(0.1, 2.0, 0),
+            DiskWindow(ORIGIN, 8.0), 0.2, 60, derive_seed(7, 1003),
+        )
+        assert rep.rows[-1] == single
+        assert {r.master_seed for r in rep.rows} == {single.master_seed}
 
     def test_stderr_scaling_with_trials(self):
         params = SoupParams(0.15, 2.0, 0)

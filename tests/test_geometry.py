@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sticksoup.events import _clip_to_region
 from sticksoup.geometry import (
     REL_EPS,
     Annulus,
@@ -14,6 +15,9 @@ from sticksoup.geometry import (
     Polyline,
     Segment,
     Stick,
+    _concat_ranges,
+    _sorted_unique,
+    _supercover_cells,
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
@@ -25,6 +29,7 @@ from sticksoup.geometry import (
     stick_to_segment,
     sticks_to_segments,
 )
+from sticksoup.seeds import derive_seed
 from sticksoup.soup import DiskWindow, SoupParams, sample_configuration
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -279,6 +284,104 @@ class TestCandidatePairsGrid:
         true_keys = AI[hits] * n + AJ[hits]
         assert len(true_keys) > n
         assert np.all(np.isin(true_keys, keys))
+
+
+def lexsort_candidate_pairs(segs):
+    """The broad phase as it was, sorting (cell key, id) with np.lexsort:
+    the reference the packed-key sort must match bit for bit."""
+    n = len(segs)
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if n <= 200:
+        return np.triu_indices(n, k=1)
+    lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    span = max(
+        segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
+        segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
+        1e-12,
+    )
+    cell = float(np.median(lengths))
+    cell = min(max(cell, span / 4096.0), span / 4.0)
+    x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
+    y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
+    ix, iy, ids = _supercover_cells(segs, cell, x0, y0)
+    keys = ix * (np.int64(1) << 31) + iy
+    order = np.lexsort((ids, keys))
+    k = keys[order]
+    v = ids[order]
+    new_group = np.r_[True, k[1:] != k[:-1]]
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(np.r_[starts, len(k)])
+    grp = np.repeat(np.arange(len(counts)), counts)
+    within = np.arange(len(k), dtype=np.int64) - starts[grp]
+    j_side = np.repeat(np.arange(len(k), dtype=np.int64), within)
+    i_side = np.repeat(starts[grp], within) + _concat_ranges(within)
+    raw_i = v[i_side]
+    raw_j = v[j_side]
+    lo = np.minimum(raw_i, raw_j)
+    hi = np.maximum(raw_i, raw_j)
+    uniq = _sorted_unique(lo * np.int64(n) + hi)
+    return uniq // n, uniq % n
+
+
+class TestCandidatePairsMatchLexsort:
+    """The packed-key broad phase against the lexsort one, bit for bit, on
+    the pieces production clusters and on grids at the cell-size bounds."""
+
+    @staticmethod
+    def check(segs):
+        I, J = candidate_pairs(segs)
+        RI, RJ = lexsort_candidate_pairs(segs)
+        assert I.dtype == RI.dtype and J.dtype == RJ.dtype
+        assert np.array_equal(I, RI) and np.array_equal(J, RJ)
+        return len(I)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_annulus_pieces(self, m):
+        ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
+        for i in range(3):
+            cfg = sample_configuration(
+                SoupParams(0.15, 2.0, 0), DiskWindow(Point(0, 0), 2.0 ** m), 0.05,
+                derive_seed(12, m, i),
+            )
+            pieces, _, _ = _clip_to_region(cfg.segments(), ann)
+            assert len(pieces) > 200
+            assert self.check(pieces) > len(pieces)
+
+    def test_h1_box_pieces(self):
+        box = Box(Point(-8, -8), Point(8, 8))
+        for i in range(2):
+            cfg = sample_configuration(
+                SoupParams(0.2, 2.0, 0), DiskWindow(Point(0, 0), 8 * math.sqrt(2)), 0.1,
+                derive_seed(13, i),
+            )
+            _, pieces = batch_clip_to_box(cfg.segments(), box)
+            assert self.check(pieces) > len(pieces) > 200
+
+    def test_touching(self):
+        segs = TestCandidatePairsGrid.touching_segments()
+        assert self.check(segs) > len(segs) > 200
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 200])
+    def test_all_pairs(self, n):
+        segs = np.random.default_rng(n).uniform(-1, 1, (n, 4))
+        assert self.check(segs) == n * (n - 1) // 2
+
+    def test_one_long_piece_sets_the_finest_cell(self):
+        # short pieces in [0, 1]^2 and one piece 1000 long: the median length
+        # is far below span/4096, so the grid is 4096 cells a side and the
+        # long piece crosses thousands of them
+        rng = np.random.default_rng(14)
+        start = rng.uniform(0, 1, (3000, 2))
+        step = rng.uniform(-1e-3, 1e-3, (3000, 2))
+        step[:300, 0] = 0.0  # vertical
+        step[300:600, 1] = 0.0  # horizontal
+        segs = np.vstack([np.hstack([start, start + step]), [[0.5, 0.5, 1000.0, 700.0]]])
+        lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+        assert np.median(lengths) < 1000.0 / 4096
+        _, J = candidate_pairs(segs)
+        assert np.any(J == len(segs) - 1)
+        assert self.check(segs) > len(segs)
 
 
 def structured_pairs(rng, n):
