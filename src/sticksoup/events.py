@@ -18,6 +18,8 @@ from .geometry import (
     Annulus,
     Box,
     Stick,
+    _cell_table,
+    _concat_ranges,
     _hits_vertical,
     _sorted_unique,
     batch_clip_to_box,
@@ -80,15 +82,15 @@ def _clip_to_region(segs: np.ndarray, region):
     outer, owners = _materialize(segs, np.arange(len(segs)), t0, t1, tol)
     # each outer piece splits at the open inner disk into the part before it,
     # [0, h0], and the part after it, [h1, 1]; a piece missing the hole keeps
-    # all of itself in the first and an empty second
+    # all of itself in the first and no second, so only the pieces meeting
+    # the hole get one
     h0, h1 = _segment_disk_params(outer, cx, cy, region.inner)
     hole = h1 > h0
-    n = len(outer)
     pieces, owners = _materialize(
-        np.vstack([outer, outer]),
-        np.concatenate([owners, owners]),
-        np.concatenate([np.zeros(n), np.where(hole, h1, 1.0)]),
-        np.concatenate([np.where(hole, h0, 1.0), np.ones(n)]),
+        np.vstack([outer, outer[hole]]),
+        np.concatenate([owners, owners[hole]]),
+        np.concatenate([np.zeros(len(outer)), h1[hole]]),
+        np.concatenate([np.where(hole, h0, 1.0), np.ones(np.count_nonzero(hole))]),
         tol,
     )
     dmin, dmax = radial_interval(pieces, cx, cy)
@@ -128,26 +130,73 @@ def _materialize(segs, owners, t0, t1, min_len_eps):
     return out, owners[keep]
 
 
-def _piece_clusters(segs: np.ndarray, region):
-    """Clip segments to the region and cluster them.
+def _clip_nodes(segs: np.ndarray, region):
+    """Clip segments to the region; the pieces of one segment form one node.
 
-    Returns (pieces, touch, kept, node, labels): the clipped pieces and their
+    Returns (pieces, touch, kept, node): the clipped pieces and their
     boundary flags as from _clip_to_region, the sorted indices of the
-    segments with a nonempty clip, each piece's graph node (its position in
-    ``kept``) and each node's cluster label.
+    segments with a nonempty clip and each piece's node (its position in
+    ``kept``).
     """
     pieces, owners, touch = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
-    node = np.searchsorted(kept, owners)
+    return pieces, touch, kept, np.searchsorted(kept, owners)
+
+
+def _piece_clusters(segs: np.ndarray, region):
+    """Clip segments to the region and cluster them.
+
+    Returns (pieces, touch, kept, node, labels): as from _clip_nodes, plus
+    each node's cluster label.
+    """
+    pieces, touch, kept, node = _clip_nodes(segs, region)
     ri = rj = np.empty(0, dtype=np.int64)
     if len(pieces) > 1:
-        I, J = candidate_pairs(pieces)
+        tol = region_tol(region)
+        I, J = candidate_pairs(pieces, tol)
         if len(I):
-            hits, _, _, _ = batch_pair_intersections(pieces, I, J, region_tol(region))
+            hits, _, _, _ = batch_pair_intersections(pieces, I, J, tol)
             ri = node[I[hits]]
             rj = node[J[hits]]
     _, labels = components(len(kept), ri, rj)
     return pieces, touch, kept, node, labels
+
+
+def _flood(pieces: np.ndarray, node: np.ndarray, seeds: np.ndarray, eps: float):
+    """Per node, whether it is joined to a seed node by a chain of hitting
+    pieces: the union of the seeds' components in _piece_clusters.
+
+    Each round looks up the grid cells of the newly reached pieces only and
+    tests each (lower, higher) candidate pair whose partner's node is not
+    reached yet; the grid, the pair test and the tolerance are those of the
+    full labelling, so the same edges decide the same components.
+    """
+    n = len(pieces)
+    cells, count, key = _cell_table(pieces, eps)
+    first = np.cumsum(count) - count
+    reached = np.zeros(node.max() + 1, dtype=bool)
+    new = _sorted_unique(seeds)
+    while new.size:
+        reached[new] = True
+        fresh = np.zeros_like(reached)
+        fresh[new] = True
+        front = np.flatnonzero(fresh[node])
+        # the frontier's own keys, sorted so that the lookups run in order
+        e = np.repeat(first[front], count[front]) + _concat_ranges(count[front])
+        q = np.sort(cells[e] * np.int64(n) + np.repeat(front, count[front]))
+        c = q - q % n
+        lo = np.searchsorted(key, c)
+        size = np.searchsorted(key, c + n) - lo
+        a = np.repeat(q - c, size)
+        b = key[np.repeat(lo, size) + _concat_ranges(size)] - np.repeat(c, size)
+        open_ = ~reached[node[b]]
+        a, b = a[open_], b[open_]
+        pair = _sorted_unique(np.minimum(a, b) * np.int64(n) + np.maximum(a, b))
+        I, J = pair // n, pair % n
+        hits, _, _, _ = batch_pair_intersections(pieces, I, J, eps)
+        new = _sorted_unique(node[np.concatenate([I[hits], J[hits]])])
+        new = new[~reached[new]]
+    return reached
 
 
 def covered_components(
@@ -189,7 +238,8 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     A path from the inner circle that reaches radius rho <= ann.outer has a
     prefix inside A(inner, rho), so one cluster build answers the arm event
     of every annulus A(inner, rho) inside ann (up to the narrow phase's
-    tolerance, which is ann's).
+    tolerance, which is ann's).  The clusters are flooded from the pieces
+    touching the inner circle; the others are never labelled.
     """
     c.window.require_contains(ann.center, ann.outer)
     if c.n_sticks == 0:
@@ -200,13 +250,11 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     cand = (dmin <= ann.outer) & (dmax >= ann.inner)
     if not np.any(cand):
         return -math.inf
-    pieces, touch, _, node, labels = _piece_clusters(segs[cand], ann)
-    inner = np.zeros(len(labels), dtype=bool)
-    inner[labels[node[touch["inner"]]]] = True
-    reached = inner[labels[node]]
-    if not np.any(reached):
+    pieces, touch, _, node = _clip_nodes(segs[cand], ann)
+    if not np.any(touch["inner"]):
         return -math.inf
-    _, far = radial_interval(pieces[reached], cx, cy)
+    reached = _flood(pieces, node, node[touch["inner"]], region_tol(ann))
+    _, far = radial_interval(pieces[reached[node]], cx, cy)
     return float(far.max())
 
 

@@ -140,7 +140,7 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     labels = np.concatenate([side_labels, stick_ids])
     n_segs = len(segs)
 
-    I, J = candidate_pairs(segs)
+    I, J = candidate_pairs(segs, eps)
     hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
     I, J, hx, hy, overlap = I[hits], J[hits], px[hits], py[hits], overlap[hits]
     # the component of the bottom side (segment 0); new ids keep the old order

@@ -458,80 +458,19 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
 
 
-def _supercover_cells(segs: np.ndarray, cell: float, x0: float, y0: float):
-    """Grid cells traversed by each segment (Amanatides-Woo, lockstep).
+def _cell_table(segs: np.ndarray, eps: float):
+    """The broad phase's grid: every cell within ``eps`` of each segment.
 
-    Returns (ix, iy, ids): int64 cell column and row, and the owning segment
-    index, one entry per (cell, segment).
+    The cell size is the median segment length, kept within [span/4096,
+    span/4]; up to 200 segments share one cell.  Returns (cells, count, key):
+    the cell of each (segment, cell) entry, grouped by segment in id order,
+    each segment's number of entries, and the sorted packed keys
+    ``cell * n + id``, so ids ascend within a cell.
     """
     n = len(segs)
-    if n == 0:
-        return (np.empty(0, dtype=np.int64),) * 3
-    x1 = (segs[:, 0] - x0) / cell
-    y1 = (segs[:, 1] - y0) / cell
-    x2 = (segs[:, 2] - x0) / cell
-    y2 = (segs[:, 3] - y0) / cell
-    ix = np.floor(x1).astype(np.int64)
-    iy = np.floor(y1).astype(np.int64)
-    jx = np.floor(x2).astype(np.int64)
-    jy = np.floor(y2).astype(np.int64)
-    dx = x2 - x1
-    dy = y2 - y1
-    stepx = np.sign(dx).astype(np.int64)
-    stepy = np.sign(dy).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_dx = np.where(dx != 0, 1.0 / np.where(dx != 0, dx, 1.0), np.inf)
-        inv_dy = np.where(dy != 0, 1.0 / np.where(dy != 0, dy, 1.0), np.inf)
-        tmaxx = np.where(
-            dx != 0, (ix + (stepx > 0).astype(float) - x1) * inv_dx, np.inf
-        )
-        tmaxy = np.where(
-            dy != 0, (iy + (stepy > 0).astype(float) - y1) * inv_dy, np.inf
-        )
-    tdx = np.abs(inv_dx)
-    tdy = np.abs(inv_dy)
-
-    ids_parts = []
-    ix_parts = []
-    iy_parts = []
-    active = np.ones(n, dtype=bool)
-    max_steps = int(np.max(np.abs(jx - ix) + np.abs(jy - iy))) + 1
-    for _ in range(max_steps + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        ix_parts.append(ix[idx])
-        iy_parts.append(iy[idx])
-        ids_parts.append(idx)
-        done = (ix[idx] == jx[idx]) & (iy[idx] == jy[idx])
-        active[idx[done]] = False
-        go = idx[~done]
-        if go.size == 0:
-            break
-        move_x = tmaxx[go] <= tmaxy[go]
-        gx = go[move_x]
-        gy = go[~move_x]
-        ix[gx] += stepx[gx]
-        tmaxx[gx] += tdx[gx]
-        iy[gy] += stepy[gy]
-        tmaxy[gy] += tdy[gy]
-    return (np.concatenate(ix_parts), np.concatenate(iy_parts),
-            np.concatenate(ids_parts))
-
-
-def candidate_pairs(segs: np.ndarray):
-    """Index pairs (i < j) whose segments share a grid cell, sorted by
-    ``i * n + j``.
-
-    The grid cell size is the median segment length, kept within [span/4096,
-    span/4]; all-pairs under 200 segments.  A superset of the truly
-    intersecting pairs.
-    """
-    n = len(segs)
-    if n < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if n <= 200:
-        return np.triu_indices(n, k=1)
+        ids = np.arange(n, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), ids
     lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
     span = max(
         segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
@@ -541,15 +480,56 @@ def candidate_pairs(segs: np.ndarray):
     cell = min(max(float(np.median(lengths)), span / 4096.0), span / 4.0)
     x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
     y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
-    ix, iy, ids = _supercover_cells(segs, cell, x0, y0)
-    # one int64 key per (cell, segment): cells in (ix, iy) order, segments in
-    # id order within a cell.  cell >= span/4096 keeps the grid at 4097
-    # cells a side and a walk under 8196 steps, so even walks that round
-    # past their last cell span under 21k cells a side: the key fits in
-    # int64 for any n below 2e10.
-    ix = ix - ix.min()
-    iy = iy - iy.min()
-    key = np.sort((ix * (iy.max() + 1) + iy) * np.int64(n) + ids)
+    pad = eps / cell
+    # ends in grid units, left end first
+    swap = segs[:, 2] < segs[:, 0]
+    xa = (np.where(swap, segs[:, 2], segs[:, 0]) - x0) / cell
+    ya = (np.where(swap, segs[:, 3], segs[:, 1]) - y0) / cell
+    xb = (np.where(swap, segs[:, 0], segs[:, 2]) - x0) / cell
+    yb = (np.where(swap, segs[:, 1], segs[:, 3]) - y0) / cell
+    # the columns within pad of the segment, then in each column the rows
+    # within pad of the segment's y-extent over the column's padded x-range
+    c0 = np.floor(xa - pad).astype(np.int64)
+    ncol = np.floor(xb + pad).astype(np.int64) - c0 + 1
+    seg = np.repeat(np.arange(n, dtype=np.int64), ncol)
+    col = c0[seg] + _concat_ranges(ncol)
+    xa, ya, xb, yb = xa[seg], ya[seg], xb[seg], yb[seg]
+    dx = xb - xa
+    flat = dx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, dx))
+    t_lo = np.where(flat, 0.0, np.clip((col - pad - xa) * inv, 0.0, 1.0))
+    t_hi = np.where(flat, 1.0, np.clip((col + 1 + pad - xa) * inv, 0.0, 1.0))
+    y_lo = ya + t_lo * (yb - ya)
+    y_hi = ya + t_hi * (yb - ya)
+    r0 = np.floor(np.minimum(y_lo, y_hi) - pad).astype(np.int64)
+    nrow = np.floor(np.maximum(y_lo, y_hi) + pad).astype(np.int64) - r0 + 1
+    # cell = ix * ny + iy over the shifted grid; a column's rows are
+    # consecutive cells.  cell >= span/4096 keeps the grid within 4099
+    # cells a side (pad, a tolerance far below a cell, adds at most one at
+    # each end), so the key fits in int64 for any n below 5e11
+    ny = int((r0 + nrow).max() - r0.min())
+    base = (col - col.min()) * ny + (r0 - r0.min()) - (np.cumsum(nrow) - nrow)
+    ent = np.repeat(np.arange(len(col)), nrow)
+    cells = base[ent] + np.arange(len(ent), dtype=np.int64)
+    ids = seg[ent]
+    count = np.bincount(ids, minlength=n).astype(np.int64)
+    return cells, count, np.sort(cells * np.int64(n) + ids)
+
+
+def candidate_pairs(segs: np.ndarray, eps: float):
+    """Index pairs (i < j) that share a cell of the grid of ``_cell_table``,
+    sorted by ``i * n + j``.
+
+    Each segment is listed in every cell within ``eps`` of it, so with the
+    narrow phase's tolerance this is a superset of the pairs that
+    ``batch_pair_intersections`` reports as hits: a hit point lies within
+    ``eps`` of both segments.
+    """
+    n = len(segs)
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    _, _, key = _cell_table(segs, eps)
     k = key // n
     v = key - k * n
     new_group = np.r_[True, k[1:] != k[:-1]]

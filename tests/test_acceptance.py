@@ -216,7 +216,7 @@ def _covered_top_bottom_oracle(cfg, box):
     uf = _UF(n + 1)
     for i in np.flatnonzero(bottom):
         uf.union(int(i), n)
-    I, J = candidate_pairs(clipped)
+    I, J = candidate_pairs(clipped, tol)
     if len(I):
         hits, _, _, _ = batch_pair_intersections(clipped, I, J, tol)
         for i, j in zip(I[hits], J[hits]):

@@ -194,13 +194,22 @@ class TestArmDecayScan:
         assert {r.master_seed for r in rep.rows} == {single.master_seed}
 
     def test_stderr_scaling_with_trials(self):
+        # every row's std_error is the binomial formula; the x2 from 4x the
+        # trials is checked on the rows away from p = 0 and 1 only, where a
+        # few trials cannot swing the ratio
         params = SoupParams(0.15, 2.0, 0)
-        small = arm_decay_scan(params, 0.2, 2, 100, 5)
-        big = arm_decay_scan(params, 0.2, 2, 400, 5)
+        small = arm_decay_scan(params, 0.2, 3, 100, 5)
+        big = arm_decay_scan(params, 0.2, 3, 400, 5)
+        mid = 0
         for r_small, r_big in zip(small.rows, big.rows):
-            if r_small.std_error > 0 and r_big.std_error > 0:
+            for r in (r_small, r_big):
+                p = r.successes / r.n_trials
+                assert r.std_error == math.sqrt(p * (1 - p) / r.n_trials)
+            if all(0.2 <= r.estimate <= 0.8 for r in (r_small, r_big)):
+                mid += 1
                 ratio = r_small.std_error / r_big.std_error
                 assert ratio == pytest.approx(2.0, rel=0.45)
+        assert mid >= 1
 
 
 class TestH1Scan:

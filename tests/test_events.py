@@ -5,7 +5,9 @@ import pytest
 
 from sticksoup.events import (
     _clip_to_region,
+    _piece_clusters,
     arm_event,
+    arm_reach,
     covered_components,
     double_circle_crossers,
     double_intersection_count,
@@ -20,6 +22,7 @@ from sticksoup.geometry import (
     Segment,
     Stick,
     radial_interval,
+    region_tol,
     segment_intersection,
     stick_to_segment,
     sticks_to_segments,
@@ -217,6 +220,72 @@ class TestArmEvent:
                 scaled = apply_homothety(c, ratio)
                 ann = Annulus(Point(0, 0), ratio * 1.0, ratio * 2.0)
                 assert arm_event(scaled, ann) == base
+
+
+def labelled_reach(c, ann):
+    """arm_reach by full labelling: every cluster of the clipped pieces, then
+    the largest piece dmax over the clusters touching the inner circle."""
+    if c.n_sticks == 0:
+        return -math.inf
+    cx, cy = ann.center.x, ann.center.y
+    segs = c.segments()
+    dmin, dmax = radial_interval(segs, cx, cy)
+    cand = (dmin <= ann.outer) & (dmax >= ann.inner)
+    if not np.any(cand):
+        return -math.inf
+    pieces, touch, _, node, labels = _piece_clusters(segs[cand], ann)
+    inner = np.zeros(len(labels), dtype=bool)
+    inner[labels[node[touch["inner"]]]] = True
+    reached = inner[labels[node]]
+    if not np.any(reached):
+        return -math.inf
+    return float(radial_interval(pieces[reached], cx, cy)[1].max())
+
+
+class TestArmReachFlood:
+    """The flood from the inner circle against full labelling, bit for bit."""
+
+    @staticmethod
+    def check(c, ann):
+        got, want = arm_reach(c, ann), labelled_reach(c, ann)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    def test_hand_built(self):
+        ann = Annulus(Point(0, 0), 1.0, 4.0)
+        assert self.check(cfg_from([]), ann) == -math.inf
+        # inside the annulus, touching neither circle; then inside the hole
+        assert self.check(cfg_from([[2.0, 0.0, 0.5, 0.3]]), ann) == -math.inf
+        assert self.check(cfg_from([[0.2, 0.0, 0.5, 0.3]]), ann) == -math.inf
+        # a chain from the inner circle to radius 3, and a stick past it
+        # that it does not meet
+        chain = [[1.25, 0.0, 0.5, 0.0], [1.75, 0.0, 0.5, math.pi / 2],
+                 [2.4, 0.3, 0.65, 0.0], [3.5, 1.5, 0.3, 0.0]]
+        assert self.check(cfg_from(chain), ann) == math.hypot(3.05, 0.3)
+
+    # (m, r_min, soups) per u: r_min = 0.3 keeps A(1, 2) under 200 pieces,
+    # where the grid is one cell; u = 1 at m = 4 is some 3e5 sticks a soup
+    PLAN = {u: [(1, 0.3, 15), (1, 0.05, 20), (2, 0.05, 25), (3, 0.05, 15),
+                (4, 0.05, 6)] for u in (0.1, 0.15)}
+    PLAN[0.3] = [(1, 0.3, 15), (1, 0.05, 20), (2, 0.05, 25), (3, 0.05, 15),
+                 (4, 0.05, 3)]
+    PLAN[1.0] = [(1, 0.3, 15), (1, 0.05, 20), (2, 0.05, 25), (3, 0.05, 2)]
+
+    @pytest.mark.parametrize("u", sorted(PLAN))
+    def test_seeded_soups(self, u):
+        events, sizes = [], []
+        for m, r_min, count in self.PLAN[u]:
+            window = DiskWindow(Point(0, 0), 2.0 ** m)
+            ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
+            for i in range(count):
+                c = sample_configuration(SoupParams(u, 2.0, 0), window, r_min,
+                                         derive_seed(31, int(100 * u), m, i, int(100 * r_min)))
+                events.append(self.check(c, ann) >= ann.outer - region_tol(ann))
+                sizes.append(len(_clip_to_region(c.segments(), ann)[0]))
+        assert len(events) >= 62
+        assert min(sizes) <= 200 < max(sizes)
+        # above u = 0.15 nearly every soup crosses
+        assert 0 < sum(events) and (u > 0.15 or sum(events) < len(events))
 
 
 class TestLr1Event:

@@ -17,7 +17,6 @@ from sticksoup.geometry import (
     Stick,
     _concat_ranges,
     _sorted_unique,
-    _supercover_cells,
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
@@ -274,21 +273,79 @@ class TestCandidatePairsGrid:
         segs = self.segments(seed)
         n = len(segs)
         assert n > 200
-        I, J = candidate_pairs(segs)
+        eps = REL_EPS * max(1.0, float(np.abs(segs).max()))
+        I, J = candidate_pairs(segs, eps)
         assert np.all(I < J)
         keys = I * n + J
         assert len(np.unique(keys)) == len(keys)
         AI, AJ = np.triu_indices(n, 1)
-        eps = REL_EPS * max(1.0, float(np.abs(segs).max()))
         hits = batch_pair_intersections(segs, AI, AJ, eps)[0]
         true_keys = AI[hits] * n + AJ[hits]
         assert len(true_keys) > n
         assert np.all(np.isin(true_keys, keys))
 
 
+def aw_supercover_cells(segs, cell, x0, y0):
+    """Grid cells traversed by each segment (Amanatides-Woo, lockstep): the
+    walk the broad phase used before its cells were padded by the tolerance.
+
+    Returns (ix, iy, ids): int64 cell column and row, and the owning segment
+    index, one entry per (cell, segment).
+    """
+    n = len(segs)
+    x1 = (segs[:, 0] - x0) / cell
+    y1 = (segs[:, 1] - y0) / cell
+    x2 = (segs[:, 2] - x0) / cell
+    y2 = (segs[:, 3] - y0) / cell
+    ix = np.floor(x1).astype(np.int64)
+    iy = np.floor(y1).astype(np.int64)
+    jx = np.floor(x2).astype(np.int64)
+    jy = np.floor(y2).astype(np.int64)
+    dx = x2 - x1
+    dy = y2 - y1
+    stepx = np.sign(dx).astype(np.int64)
+    stepy = np.sign(dy).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_dx = np.where(dx != 0, 1.0 / np.where(dx != 0, dx, 1.0), np.inf)
+        inv_dy = np.where(dy != 0, 1.0 / np.where(dy != 0, dy, 1.0), np.inf)
+        tmaxx = np.where(
+            dx != 0, (ix + (stepx > 0).astype(float) - x1) * inv_dx, np.inf
+        )
+        tmaxy = np.where(
+            dy != 0, (iy + (stepy > 0).astype(float) - y1) * inv_dy, np.inf
+        )
+    tdx = np.abs(inv_dx)
+    tdy = np.abs(inv_dy)
+    ids_parts, ix_parts, iy_parts = [], [], []
+    active = np.ones(n, dtype=bool)
+    max_steps = int(np.max(np.abs(jx - ix) + np.abs(jy - iy))) + 1
+    for _ in range(max_steps + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        ix_parts.append(ix[idx])
+        iy_parts.append(iy[idx])
+        ids_parts.append(idx)
+        done = (ix[idx] == jx[idx]) & (iy[idx] == jy[idx])
+        active[idx[done]] = False
+        go = idx[~done]
+        if go.size == 0:
+            break
+        move_x = tmaxx[go] <= tmaxy[go]
+        gx = go[move_x]
+        gy = go[~move_x]
+        ix[gx] += stepx[gx]
+        tmaxx[gx] += tdx[gx]
+        iy[gy] += stepy[gy]
+        tmaxy[gy] += tdy[gy]
+    return (np.concatenate(ix_parts), np.concatenate(iy_parts),
+            np.concatenate(ids_parts))
+
+
 def lexsort_candidate_pairs(segs):
-    """The broad phase as it was, sorting (cell key, id) with np.lexsort:
-    the reference the packed-key sort must match bit for bit."""
+    """The broad phase before the padded grid: the Amanatides-Woo walk over
+    unpadded cells and an np.lexsort of (cell key, id).  The reference whose
+    hits the padded grid must reproduce."""
     n = len(segs)
     if n < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -304,7 +361,7 @@ def lexsort_candidate_pairs(segs):
     cell = min(max(cell, span / 4096.0), span / 4.0)
     x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
     y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
-    ix, iy, ids = _supercover_cells(segs, cell, x0, y0)
+    ix, iy, ids = aw_supercover_cells(segs, cell, x0, y0)
     keys = ix * (np.int64(1) << 31) + iy
     order = np.lexsort((ids, keys))
     k = keys[order]
@@ -324,17 +381,31 @@ def lexsort_candidate_pairs(segs):
     return uniq // n, uniq % n
 
 
+def extent_tol(segs):
+    return REL_EPS * max(1.0, float(np.abs(segs).max(initial=0.0)))
+
+
 class TestCandidatePairsMatchLexsort:
-    """The packed-key broad phase against the lexsort one, bit for bit, on
-    the pieces production clusters and on grids at the cell-size bounds."""
+    """The padded grid against the lexsort broad phase on the pieces
+    production clusters and on grids at the cell-size bounds: a superset of
+    its pairs, and the same narrow-phase output over the hits, bit for bit."""
 
     @staticmethod
-    def check(segs):
-        I, J = candidate_pairs(segs)
+    def check(segs, eps):
+        I, J = candidate_pairs(segs, eps)
         RI, RJ = lexsort_candidate_pairs(segs)
         assert I.dtype == RI.dtype and J.dtype == RJ.dtype
-        assert np.array_equal(I, RI) and np.array_equal(J, RJ)
-        return len(I)
+        n = len(segs)
+        assert np.all(np.isin(RI * n + RJ, I * n + J))
+
+        def narrow(I, J):
+            hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
+            return I[hits], J[hits], px[hits], py[hits], overlap[hits]
+
+        got, ref = narrow(I, J), narrow(RI, RJ)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return len(got[0])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_annulus_pieces(self, m):
@@ -346,7 +417,7 @@ class TestCandidatePairsMatchLexsort:
             )
             pieces, _, _ = _clip_to_region(cfg.segments(), ann)
             assert len(pieces) > 200
-            assert self.check(pieces) > len(pieces)
+            assert self.check(pieces, region_tol(ann)) > len(pieces) / 2
 
     def test_h1_box_pieces(self):
         box = Box(Point(-8, -8), Point(8, 8))
@@ -356,16 +427,18 @@ class TestCandidatePairsMatchLexsort:
                 derive_seed(13, i),
             )
             _, pieces = batch_clip_to_box(cfg.segments(), box)
-            assert self.check(pieces) > len(pieces) > 200
+            assert self.check(pieces, region_tol(box)) > len(pieces) / 2 > 100
 
     def test_touching(self):
         segs = TestCandidatePairsGrid.touching_segments()
-        assert self.check(segs) > len(segs) > 200
+        assert self.check(segs, extent_tol(segs)) > len(segs) > 200
 
     @pytest.mark.parametrize("n", [0, 1, 2, 200])
     def test_all_pairs(self, n):
         segs = np.random.default_rng(n).uniform(-1, 1, (n, 4))
-        assert self.check(segs) == n * (n - 1) // 2
+        I, _ = candidate_pairs(segs, extent_tol(segs))
+        assert len(I) == n * (n - 1) // 2
+        self.check(segs, extent_tol(segs))
 
     def test_one_long_piece_sets_the_finest_cell(self):
         # short pieces in [0, 1]^2 and one piece 1000 long: the median length
@@ -379,9 +452,39 @@ class TestCandidatePairsMatchLexsort:
         segs = np.vstack([np.hstack([start, start + step]), [[0.5, 0.5, 1000.0, 700.0]]])
         lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
         assert np.median(lengths) < 1000.0 / 4096
-        _, J = candidate_pairs(segs)
+        eps = extent_tol(segs)
+        _, J = candidate_pairs(segs, eps)
         assert np.any(J == len(segs) - 1)
-        assert self.check(segs) > len(segs)
+        assert self.check(segs, eps) > 0
+
+    def test_pair_across_a_cell_line(self):
+        # 300 unit pieces set a grid of unit cells from (0, 0); a horizontal
+        # piece ends 0.4 eps left of the line x = 20 and a vertical one runs
+        # 0.4 eps right of it.  The narrow phase joins them; only a grid whose
+        # cells are padded by eps lists them in one cell, as the all-pairs
+        # path for 200 pieces or fewer does.
+        rng = np.random.default_rng(15)
+        corner = rng.uniform(0, 39, (400, 2))
+        corner = corner[(np.abs(corner - 20) > 2).any(axis=1)][:298]
+        filler = np.vstack([
+            np.hstack([corner, corner + [1.0, 0.0]]),
+            [[0.0, 0.0, 1.0, 0.0], [39.0, 40.0, 40.0, 40.0]],
+        ])
+        eps = extent_tol(filler)
+        pair = np.array([
+            [19.5, 20.5, 20.0 - 0.4 * eps, 20.5],
+            [20.0 + 0.4 * eps, 20.2, 20.0 + 0.4 * eps, 20.8],
+        ])
+        segs = np.vstack([filler, pair])
+        n = len(segs)
+        assert n == 302 and extent_tol(segs) == eps
+        a, b = np.array([n - 2]), np.array([n - 1])
+        assert batch_pair_intersections(segs, a, b, eps)[0][0]
+        RI, RJ = lexsort_candidate_pairs(segs)
+        assert not np.any((RI == n - 2) & (RJ == n - 1))
+        I, J = candidate_pairs(segs, eps)
+        assert np.any((I == n - 2) & (J == n - 1))
+        assert len(candidate_pairs(pair, eps)[0]) == 1
 
 
 def structured_pairs(rng, n):
