@@ -142,14 +142,15 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
 
     I, J = candidate_pairs(segs, eps)
     hits, px, py, overlap = batch_pair_intersections(segs, I, J, eps)
-    I, J, hx, hy, overlap = I[hits], J[hits], px[hits], py[hits], overlap[hits]
+    h = np.flatnonzero(hits)
+    I, J, hx, hy, overlap = I[h], J[h], px[h], py[h], overlap[h]
     # the component of the bottom side (segment 0); new ids keep the old order
     _, comp = components(n_segs, I, J)
     reach = comp == comp[0]
     new_id = np.cumsum(reach) - 1
-    inside = reach[I]
-    if np.any(overlap & inside):
-        k = int(np.flatnonzero(overlap & inside)[0])
+    inside = np.flatnonzero(reach[I])
+    if np.any(overlap[inside]):
+        k = int(inside[np.argmax(overlap[inside])])
         raise DegeneracyError(
             f"collinear overlap between segments labelled "
             f"{labels[I[k]]} and {labels[J[k]]}"

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 REL_EPS = 1e-9
 
@@ -440,12 +438,21 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
-    """``np.lexsort((minor, major))`` for a non-negative integer ``major``,
-    bit for bit and ties included: the stable rank of ``minor`` folds the two
-    keys into one key that no two elements share."""
+    """``np.lexsort((minor, major))`` for a NaN-free ``minor`` and a
+    non-negative integer ``major``, bit for bit and ties included: the stable
+    rank of ``minor`` folds the two keys into one key that no two elements
+    share.  The rank comes from an unstable sort, with only the runs of equal
+    values re-sorted by index."""
     n = len(minor)
+    order = np.argsort(minor)
+    s = minor[order]
+    tie = s[1:] == s[:-1]
+    if np.any(tie):
+        run = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+        group = np.cumsum(np.r_[True, ~tie])[run]  # one number per run of equals
+        order[run] = np.sort(group * n + order[run]) % n
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(minor, kind="stable")] = np.arange(n)
+    rank[order] = np.arange(n)
     return np.argsort(major * n + rank)
 
 
@@ -602,8 +609,31 @@ def batch_pair_intersections(segs: np.ndarray, I: np.ndarray, J: np.ndarray,
 
 def components(n: int, i: np.ndarray, j: np.ndarray):
     """``(count, labels)`` of the connected components of the undirected
-    graph on n nodes with edges (i[k], j[k]).  Edge weights are float64
-    ones, so summed duplicate edges cannot wrap to zero."""
-    return connected_components(
-        coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
-    )
+    graph on n nodes with edges (i[k], j[k]).
+
+    Union-find in rounds: every edge whose ends still have different roots
+    hooks the larger root onto the smaller one, then pointer jumping makes
+    every node point at its root.  Of the roots with a live edge, only those
+    that another root hooked onto survive a round: at most half, so there are
+    O(log n) rounds.  Each root is the smallest
+    node of its component, and the labels (int32) number the components in
+    the order of their smallest nodes, as ``scipy.sparse.csgraph`` does.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    ri = np.asarray(i, dtype=np.int64)
+    rj = np.asarray(j, dtype=np.int64)
+    while len(ri):
+        ri, rj = parent[ri], parent[rj]
+        live = np.flatnonzero(ri != rj)
+        if not len(live):
+            break
+        ri, rj = ri[live], rj[live]
+        np.minimum.at(parent, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = parent == np.arange(n)
+    rank = np.cumsum(root, dtype=np.int32) - 1
+    return int(rank[-1]) + 1 if n else 0, rank[parent]

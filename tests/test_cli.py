@@ -2,10 +2,13 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sticksoup
 from sticksoup.cli import build_parser, run
 
 
@@ -459,3 +462,33 @@ class TestEstimateCommands:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["result"]) == 2
         assert all(rec["I"][0] == 5 for rec in doc["result"])
+
+
+# parser, then clustering commands: sample, h1 scan, trace, render --trace
+NO_SCIPY = """
+import sys
+from sticksoup.cli import build_parser, run
+build_parser()
+out, jsonl = sys.argv[1] + "/out", sys.argv[1] + "/soup.jsonl"
+for argv in (
+    ["sample", "--u", "0.3", "--rmin", "0.1", "--window-radius", "1", "--out", jsonl],
+    ["estimate", "h1", "--u", "0.2", "--rmin", "0.2", "--k", "1", "--mmax", "2",
+     "--trials", "40", "--seed", "5", "--out", out],
+    ["trace", "--u", "0.3", "--rmin", "0.08", "--box", "0", "0", "1", "1", "--out", out],
+    ["render", "--in", jsonl, "--box", "-0.7", "-0.7", "0.7", "0.7", "--trace",
+     "--out", out],
+):
+    assert run(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: no command imports scipy."""
+    src = str(Path(sticksoup.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from sticksoup.events import _clip_to_region
 from sticksoup.geometry import (
@@ -16,11 +18,13 @@ from sticksoup.geometry import (
     Segment,
     Stick,
     _concat_ranges,
+    _lexsort2,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
     clip_segment_to_box,
+    components,
     point_segment_distance,
     region_tol,
     segment_circle_intersections,
@@ -579,3 +583,102 @@ class TestKernelsMatchScalar:
             assert (c is not None) == kept
             if kept:
                 assert tuple(next(rows)) == (c.a.x, c.a.y, c.b.x, c.b.y)
+
+
+def scipy_components(n, i, j):
+    """The oracle: scipy's connected components of the same edge list."""
+    return connected_components(
+        coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False
+    )
+
+
+def edges(pairs):
+    a = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return a[:, 0], a[:, 1]
+
+
+class TestComponentsMatchScipy:
+    """The numpy union-find against scipy: count, labels and label dtype."""
+
+    @staticmethod
+    def check(n, i, j):
+        count, labels = components(n, i, j)
+        want_count, want_labels = scipy_components(n, i, j)
+        assert count == want_count and isinstance(count, int)
+        assert labels.dtype == want_labels.dtype
+        np.testing.assert_array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("n, pairs", [
+        (0, []),
+        (1, []),
+        (5, []),
+        (4, [(2, 2), (0, 0)]),
+        (4, [(1, 3), (3, 1), (1, 3), (2, 2)]),
+        (7, [(5, 2), (6, 2)]),
+        (9, [(4, k) for k in range(9)]),
+        (9, [(0, k) for k in range(1, 9, 2)]),
+        (6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]),
+    ], ids=["n=0", "single", "no-edges", "self-loops", "duplicates", "isolated",
+            "star", "star-at-0", "reversed-chain"])
+    def test_small(self, n, pairs):
+        self.check(n, *edges(pairs))
+
+    def test_permuted_chains(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 17, 1000, 20000):
+            p = rng.permutation(n)
+            self.check(n, p[:-1], p[1:])
+            cut = rng.random(n - 1) < 0.9  # a few chains at once
+            self.check(n, p[1:][cut], p[:-1][cut])
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            m = int(rng.integers(0, 2 * n))
+            self.check(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_h1_hit_graphs(self, seed):
+        """The graph that build_arrangement clusters: the box sides and the
+        sticks of an h1 scan soup on [-8, 8]^2, joined where they meet."""
+        box = Box(Point(-8, -8), Point(8, 8))
+        window = DiskWindow(Point(0, 0), 8 * math.sqrt(2))
+        cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+        _, clipped = batch_clip_to_box(cfg.segments(), box)
+        segs = np.vstack([
+            [[-8, -8, 8, -8], [8, -8, 8, 8], [-8, 8, 8, 8], [-8, -8, -8, 8]], clipped,
+        ])
+        eps = region_tol(box)
+        I, J = candidate_pairs(segs, eps)
+        hits = batch_pair_intersections(segs, I, J, eps)[0]
+        assert len(segs) > 3000 and hits.sum() > 3000
+        self.check(len(segs), I[hits], J[hits])
+
+
+class TestLexsort2:
+    @staticmethod
+    def check(minor, major):
+        minor = np.asarray(minor, dtype=float)
+        major = np.asarray(major, dtype=np.int64)
+        np.testing.assert_array_equal(_lexsort2(minor, major), np.lexsort((minor, major)))
+
+    @pytest.mark.parametrize("minor, major", [
+        ([], []),
+        ([0.5], [3]),
+        ([0.0, -0.0, 0.0, -0.0], [0, 0, 0, 0]),
+        ([-0.0, 1.0, 0.0, -0.0, 1.0], [1, 0, 1, 0, 0]),
+        ([2.0, 2.0, 2.0], [2, 1, 2]),
+    ], ids=["empty", "n=1", "signed-zeros", "signed-zeros-two-keys", "all-equal"])
+    def test_small(self, minor, major):
+        self.check(minor, major)
+
+    def test_ties(self):
+        rng = np.random.default_rng(23)
+        values = np.array([-math.pi, -1.0, -0.0, 0.0, 0.25, 1.0, math.pi])
+        for _ in range(200):
+            n = int(rng.integers(0, 80))
+            self.check(rng.choice(values, n), rng.integers(0, 6, n))
+        n = 20000  # the rotation's shape: many wheels, few tied angles
+        minor = np.round(rng.uniform(-math.pi, math.pi, n), 3)
+        self.check(minor, rng.integers(0, n // 4, n))
