@@ -8,6 +8,7 @@ intervals are used throughout (success counts in arm tails are small).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -95,18 +96,46 @@ def run_trials(
     master_seed: int,
     evaluate: Callable[[Configuration], object],
 ) -> tuple[list, int]:
-    """Evaluate one sampled configuration per trial, in trial order.
+    """Evaluate one sampled configuration per trial; outcomes in trial order.
 
     Trial i samples with seed ``derive_seed(master_seed, i, attempt)``.  When
     ``evaluate`` raises DegeneracyError the trial is resampled with the next
     attempt, at most _MAX_DEGENERACY_RETRIES times.  Returns the outcomes and
     the number of resamples.
+
+    The trials run in a fork pool, one worker per CPU of the process's
+    affinity set (serially on one CPU, or inside a pool worker).  The result,
+    and the exception raised, are those of the serial run: the error of the
+    lowest-index failing trial.  ``evaluate`` must be a pure function of the
+    configuration, since its side effects in a worker are lost; its outcomes
+    and exceptions must pickle.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    job = (params, window, r_min, master_seed, evaluate)
+    width = min(_cpu_count(), n_trials)
+    if width >= 2:
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return _pooled_trials(multiprocessing.get_context("fork"), job, n_trials, width)
+    return _trial_range(job, 0, n_trials)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial_range(job: tuple, start: int, stop: int) -> tuple[list, int]:
+    """Trials start..stop-1 of the job in order: (outcomes, resamples)."""
+    params, window, r_min, master_seed, evaluate = job
     outcomes = []
     resamples = 0
-    for i in range(n_trials):
+    for i in range(start, stop):
         for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
             cfg = sample_configuration(
                 params, window, r_min, derive_seed(master_seed, i, attempt)
@@ -121,6 +150,44 @@ def run_trials(
                 f"trial {i}: degenerate after {_MAX_DEGENERACY_RETRIES} resamples"
             )
     return outcomes, resamples
+
+
+# Chunks per worker: enough that a slow chunk leaves little idle time at the
+# end, few enough that thousands of short trials are not swamped by IPC.
+_CHUNKS_PER_WORKER = 8
+
+# A pool worker's job; set by _install_job when the worker starts.
+_worker_job = None
+
+
+def _install_job(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_range(bounds: tuple[int, int]) -> tuple[list, int]:
+    return _trial_range(_worker_job, *bounds)
+
+
+def _pooled_trials(ctx, job: tuple, n_trials: int, width: int) -> tuple[list, int]:
+    """run_trials over ``width`` forked workers, in contiguous chunks of trials.
+
+    The job reaches the workers through fork (the initializer's arguments are
+    not pickled), so ``evaluate`` may be a closure.  The chunks come back in
+    order, so the first error raised is that of the lowest failing trial.
+    """
+    size = max(1, n_trials // (width * _CHUNKS_PER_WORKER))
+    chunks = [(s, min(s + size, n_trials)) for s in range(0, n_trials, size)]
+    pool = ctx.Pool(width, _install_job, (job,))
+    try:
+        parts = list(pool.imap(_worker_range, chunks))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return [o for outcomes, _ in parts for o in outcomes], sum(r for _, r in parts)
 
 
 def estimate_probability(

@@ -244,17 +244,11 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     c.window.require_contains(ann.center, ann.outer)
     if c.n_sticks == 0:
         return -math.inf
-    cx, cy = ann.center.x, ann.center.y
-    segs = c.segments()
-    dmin, dmax = radial_interval(segs, cx, cy)
-    cand = (dmin <= ann.outer) & (dmax >= ann.inner)
-    if not np.any(cand):
-        return -math.inf
-    pieces, touch, _, node = _clip_nodes(segs[cand], ann)
+    pieces, touch, _, node = _clip_nodes(c.segments(), ann)
     if not np.any(touch["inner"]):
         return -math.inf
     reached = _flood(pieces, node, node[touch["inner"]], region_tol(ann))
-    _, far = radial_interval(pieces[reached[node]], cx, cy)
+    _, far = radial_interval(pieces[reached[node]], ann.center.x, ann.center.y)
     return float(far.max())
 
 

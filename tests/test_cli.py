@@ -492,3 +492,45 @@ def test_cli_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# trial-running commands: the scan and single-annulus arm, h1, invasion with
+# and without the domination check, parker-cowan
+TRIAL_COMMANDS = """
+from sticksoup.cli import run
+for argv in (
+    ["estimate", "arm", "--u", "0.15", "--rmin", "0.2", "--scan-mmax", "3",
+     "--trials", "20", "--seed", "3"],
+    ["estimate", "arm", "--u", "0.3", "--rmin", "0.2", "--l1", "1", "--l2", "2",
+     "--window-radius", "2", "--trials", "30", "--seed", "4"],
+    ["estimate", "h1", "--u", "0.2", "--rmin", "0.2", "--k", "1", "--mmax", "2",
+     "--trials", "30", "--seed", "5"],
+    ["invasion", "--u", "1", "--m", "5", "--rmin", "0.25", "--trials", "5", "--seed", "4"],
+    ["invasion", "--u", "1", "--m", "5", "--rmin", "0.5", "--domination",
+     "--trials", "20", "--seed", "6"],
+    ["verify", "parker-cowan", "--u", "1", "--r", "0.5", "--t", "2",
+     "--trials", "500", "--seed", "1"],
+):
+    assert run(argv) == 0, argv
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs at least two CPUs in the affinity set")
+def test_stdout_same_on_one_cpu_and_two():
+    """Trials run in a pool as wide as the CPU affinity set; the bytes do not
+    depend on its width."""
+    src = str(Path(sticksoup.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    first = min(os.sched_getaffinity(0))
+
+    def stdout(preexec_fn):
+        proc = subprocess.run([sys.executable, "-c", TRIAL_COMMANDS], env=env,
+                              preexec_fn=preexec_fn, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    one = stdout(lambda: os.sched_setaffinity(0, {first}))
+    assert one.count(b"\n") == 6
+    assert stdout(None) == one

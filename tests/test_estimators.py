@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +34,23 @@ from sticksoup.seeds import derive_seed
 from sticksoup.soup import DiskWindow, SoupParams
 
 ORIGIN = Point(0.0, 0.0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs run_trials sees: 1 runs serially, 2 pools."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture
+def one_cpu(cpus):
+    """Serial trials, for tests that record calls through side effects."""
+    cpus(1)
 
 
 class TestEstimateProbability:
@@ -109,6 +129,7 @@ class TestDegeneracyResample:
                 DiskWindow(ORIGIN, 1.0), 1.0, 2, 17,
             )
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_h1_scan_resamples(self, monkeypatch):
         real = estimators.build_arrangement
         calls = []
@@ -156,6 +177,7 @@ class TestArmDecayScan:
         with pytest.raises(FitError):
             arm_decay_scan(params, 0.5, 2, 30, 1)
 
+    @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("m_max, u, r_min", [(2, 0.1, 0.05), (3, 0.1, 0.1), (4, 0.1, 0.2)])
     def test_rows_are_the_single_annulus_events(self, monkeypatch, m_max, u, r_min):
         # 100 soups on D(2^m_max) per case: each trial's rows are arm_event on
@@ -330,3 +352,125 @@ class TestYGapSamples:
         b = y_gap_samples(params, 0, 0.125, 200, 3)
         assert np.array_equal(a, b)
         assert np.all(a >= 1)
+
+
+def degenerate_on_a_fifth(fn):
+    """fn, raising DegeneracyError on a fixed fifth of the seeds: pure."""
+
+    def wrapped(c, *args):
+        if c.seed % 5 == 0:
+            raise DegeneracyError("forced")
+        return fn(c, *args)
+
+    return wrapped
+
+
+class TestPooledTrials:
+    """The fork pool gives the serial runner's outcomes, counts and errors."""
+
+    @pytest.fixture
+    def returned(self, monkeypatch):
+        """What each run_trials call returns, recorded in this process."""
+        real = estimators.run_trials
+        seen = []
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(estimators, "run_trials", spy)
+        return seen
+
+    @staticmethod
+    def serial_and_pooled(cpus, run):
+        cpus(1)
+        serial = run()
+        cpus(2)
+        return serial, run()
+
+    # per case: the estimators attribute made degenerate on a fifth of the
+    # seeds (None: parker-cowan's count has no hook; the predicate is
+    # degenerate itself), and the run
+    CASES = {
+        "probability": (None, lambda: estimate_probability(
+            PredicateEvent("many", degenerate_on_a_fifth(lambda c: c.n_sticks > 3)),
+            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 60, 17)),
+        "h1": ("build_arrangement", lambda: h1_scan(SoupParams(0.2, 2.0, 0), 0.15, 1, 2, 24, 8)),
+        "arm": ("arm_reach", lambda: arm_decay_scan(SoupParams(0.15, 2.0, 0), 0.2, 2, 30, 11)),
+        "invasion": ("invasion_sequence", lambda: invasion_domination_check(
+            SoupParams(1.0, 2.0, 0), 5, 0.5, 20, 17)),
+        "parker_cowan": (None, lambda: parker_cowan_check(
+            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 400, 6)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reports_and_resamples_match(self, cpus, monkeypatch, returned, case):
+        hook, run = self.CASES[case]
+        if hook is not None:
+            monkeypatch.setattr(estimators, hook,
+                                degenerate_on_a_fifth(getattr(estimators, hook)))
+        serial, pooled = self.serial_and_pooled(cpus, run)
+        assert repr(pooled) == repr(serial)
+        assert returned[1] == returned[0]
+        assert (returned[0][1] > 0) == (case != "parker_cowan")
+
+    def test_trials_run_in_workers(self, cpus):
+        cpus(2)
+        pids, resamples = estimators.run_trials(
+            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 12, 3,
+            degenerate_on_a_fifth(lambda c: os.getpid()),
+        )
+        assert len(pids) == 12 and resamples > 0
+        assert os.getpid() not in pids
+
+    def test_counts_match_serial(self, cpus):
+        args = (SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 300, 6,
+                degenerate_on_a_fifth(lambda c: np.count_nonzero(c.stick_data[:, 2] < 2.0)))
+        serial, pooled = self.serial_and_pooled(cpus, lambda: estimators.run_trials(*args))
+        assert pooled == serial and serial[1] > 0
+
+    @pytest.mark.parametrize("error", [DegeneracyError, ValueError])
+    def test_error_of_the_lowest_failing_trial(self, cpus, error):
+        # trials 3 and 5 fail on every attempt, trial 3 slowly, so a worker
+        # reaches trial 5's error first
+        bad = {derive_seed(23, i, a): i for i in (3, 5) for a in range(9)}
+
+        def fn(c):
+            if c.seed in bad:
+                if bad[c.seed] == 3:
+                    time.sleep(0.02)
+                raise error(f"forced at seed {c.seed}")
+            return True
+
+        def run():
+            with pytest.raises(error) as info:
+                estimators.run_trials(SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0),
+                                      0.5, 8, 23, fn)
+            assert multiprocessing.active_children() == []
+            return str(info.value)
+
+        serial, pooled = self.serial_and_pooled(cpus, run)
+        assert pooled == serial
+        if error is DegeneracyError:
+            assert serial.startswith("trial 3:")
+        else:
+            assert serial == f"forced at seed {derive_seed(23, 3, 0)}"
+
+    def test_no_child_outlives_the_call(self, cpus):
+        cpus(2)
+        estimators.run_trials(SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 8, 1,
+                              lambda c: c.n_sticks)
+        assert multiprocessing.active_children() == []
+
+    def test_nested_call_runs_serially(self, cpus):
+        cpus(2)
+        window = DiskWindow(ORIGIN, 1.0)
+
+        def outer(c):
+            inner, _ = estimators.run_trials(c.params, window, 0.5, 3, c.seed,
+                                             lambda d: os.getpid())
+            return os.getpid(), set(inner)
+
+        results, _ = estimators.run_trials(SoupParams(1.0, 2.0, 0), window, 0.5, 4, 2, outer)
+        for pid, inner in results:
+            assert pid != os.getpid() and inner == {pid}
