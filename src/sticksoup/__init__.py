@@ -66,9 +66,6 @@ from .exploration import (
     trace_exploration,
 )
 from .estimators import (
-    ArmEventSpec,
-    CrossingEventSpec,
-    NonemptyEvent,
     arm_decay_scan,
     correlation_estimate,
     estimate_probability,

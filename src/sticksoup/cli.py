@@ -21,8 +21,6 @@ from typing import Callable
 
 from . import __version__
 from .estimators import (
-    ArmEventSpec,
-    CrossingEventSpec,
     correlation_estimate,
     crosses_circle_event,
     estimate_probability,
@@ -34,7 +32,7 @@ from .estimators import (
     property_void_scan,
     run_trials,
 )
-from .events import invasion_sequence
+from .events import arm_event, invasion_sequence
 from .exploration import DegeneracyError, TraceError, build_arrangement, trace_exploration
 from .geometry import Annulus, Box, Point
 from .measures import (
@@ -179,7 +177,7 @@ def _need(args, *names):
 
 
 def _params(args) -> SoupParams:
-    return SoupParams(args.u, args.alpha, args.seed)
+    return SoupParams(args.u, args.alpha)
 
 
 def _box_from(args) -> Box:
@@ -259,7 +257,8 @@ def _estimate_arm(args) -> dict:
     ann = Annulus(Point(0.0, 0.0), args.l1, args.l2)
     window = DiskWindow(Point(0.0, 0.0), args.window_radius)
     rep = estimate_probability(
-        ArmEventSpec(ann), params, window, args.rmin, args.trials, args.seed
+        "ArmEventSpec", lambda c: arm_event(c, ann),
+        params, window, args.rmin, args.trials, args.seed,
     )
     return rep.to_json_dict()
 
@@ -281,7 +280,9 @@ def _estimate_crossing(args) -> dict:
     box = _box_from(args)
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
     rep = estimate_probability(
-        CrossingEventSpec(box), params, window, args.rmin, args.trials, args.seed
+        "CrossingEventSpec",
+        lambda c: trace_exploration(build_arrangement(c, box)).outcome == "Right",
+        params, window, args.rmin, args.trials, args.seed,
     )
     return rep.to_json_dict()
 

@@ -23,7 +23,7 @@ from .exploration import (
     last_left_subpath,
     trace_exploration,
 )
-from .geometry import Annulus, Box, Point, region_tol
+from .geometry import Annulus, Box, Point, _xy, radial_interval, region_tol
 from .measures import decorrelation_bound
 from .reports import DecayReport, EstimateReport, fit_decay, from_successes
 from .seeds import derive_seed
@@ -37,55 +37,6 @@ from .soup import (
 )
 
 _MAX_DEGENERACY_RETRIES = 8
-
-
-# ---------------------------------------------------------------------------
-# event descriptors
-
-
-@dataclass(frozen=True)
-class NonemptyEvent:
-    """The sampled configuration contains at least one stick."""
-
-
-@dataclass(frozen=True)
-class ArmEventSpec:
-    """A cluster of sticks joins the two boundary circles of the annulus."""
-
-    annulus: Annulus
-
-
-@dataclass(frozen=True)
-class CrossingEventSpec:
-    """The exploration of the box ends on the right side (vacant crossing)."""
-
-    box: Box
-
-
-@dataclass(frozen=True)
-class PredicateEvent:
-    """Escape hatch: any deterministic predicate of the configuration."""
-
-    name: str
-    fn: Callable[[Configuration], bool]
-
-
-def _apply_event(event, c: Configuration) -> bool:
-    if isinstance(event, NonemptyEvent):
-        return c.n_sticks > 0
-    if isinstance(event, ArmEventSpec):
-        return arm_event(c, event.annulus)
-    if isinstance(event, CrossingEventSpec):
-        return trace_exploration(build_arrangement(c, event.box)).outcome == "Right"
-    if isinstance(event, PredicateEvent):
-        return bool(event.fn(c))
-    raise TypeError(f"unknown event descriptor {event!r}")
-
-
-def _event_name(event) -> str:
-    if isinstance(event, PredicateEvent):
-        return event.name
-    return type(event).__name__
 
 
 def run_trials(
@@ -191,7 +142,8 @@ def _pooled_trials(ctx, job: tuple, n_trials: int, width: int) -> tuple[list, in
 
 
 def estimate_probability(
-    event,
+    name: str,
+    event: Callable[[Configuration], bool],
     params: SoupParams,
     window: DiskWindow,
     r_min: float,
@@ -200,19 +152,18 @@ def estimate_probability(
 ) -> EstimateReport:
     """Estimate P(event) over independent configurations with Wilson CI.
 
-    Configurations whose arrangement is degenerate (tolerance-coincident
-    vertices) are resampled with a salted seed and counted in the report.
+    ``event`` is a predicate of one configuration and ``name`` the report's
+    ``"event"`` parameter.  Configurations whose arrangement is degenerate
+    (tolerance-coincident vertices) are resampled with a salted seed and
+    counted in the report.
     """
-    outcomes, resamples = run_trials(
-        params, window, r_min, n_trials, master_seed,
-        lambda cfg: _apply_event(event, cfg),
-    )
+    outcomes, resamples = run_trials(params, window, r_min, n_trials, master_seed, event)
     return from_successes(
         sum(map(bool, outcomes)),
         n_trials,
         master_seed,
         {
-            "event": _event_name(event),
+            "event": name,
             "u": params.u,
             "alpha": params.alpha,
             "r_min": r_min,
@@ -366,8 +317,6 @@ class LocalEvent:
 
 
 def hits_disk_event(l: float) -> LocalEvent:
-    from .geometry import radial_interval
-
     def fn(c: Configuration) -> bool:
         if c.n_sticks == 0:
             return False
@@ -378,8 +327,6 @@ def hits_disk_event(l: float) -> LocalEvent:
 
 
 def crosses_circle_event(l: float) -> LocalEvent:
-    from .geometry import radial_interval
-
     def fn(c: Configuration) -> bool:
         if c.n_sticks == 0:
             return False
@@ -452,7 +399,7 @@ class MeanCountReport:
     empirical_mean: float
     std_error: float
     oracle: float
-    z_score: float
+    z_score: float | None  # None when the counts have zero spread
     master_seed: int
     params: dict = field(default_factory=dict)
 
@@ -466,9 +413,13 @@ def parker_cowan_check(
     master_seed: int,
 ) -> MeanCountReport:
     """Mean sampled count of sticks with R in [r, t) hitting the window disk,
-    compared to the closed-form band expectation."""
+    compared to the closed-form band expectation.  Needs at least two trials
+    for the standard error; the z-score is None when the counts are all equal.
+    """
     if not (0 < r < t):
         raise ValueError(f"need 0 < r < t, got r={r}, t={t}")
+    if n_trials < 2:
+        raise ValueError("mean-count check needs at least 2 trials")
     outcomes, _ = run_trials(
         params, window, r, n_trials, master_seed,
         lambda cfg: np.count_nonzero(cfg.stick_data[:, 2] < t),
@@ -479,14 +430,13 @@ def parker_cowan_check(
         params.alpha, params.u, r, t, math.pi * a * a, 2 * math.pi * a
     )
     mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else math.inf
-    z = (mean - oracle) / se if se > 0 else math.inf
+    se = float(counts.std(ddof=1) / math.sqrt(n_trials))
     return MeanCountReport(
         n_trials=n_trials,
         empirical_mean=mean,
         std_error=se,
         oracle=oracle,
-        z_score=float(z),
+        z_score=(mean - oracle) / se if se > 0 else None,
         master_seed=master_seed,
         params={"u": params.u, "alpha": params.alpha, "r": r, "t": t, "window_a": a},
     )
@@ -496,17 +446,18 @@ def parker_cowan_check(
 # well-separated ball scan for the traced interface suffix
 
 
-def validate_separated(balls: Sequence[tuple], factor: float = 2.0) -> None:
-    """Require the dilations of the balls by ``factor`` to be disjoint."""
+# dilation factor of the balls that must stay disjoint
+_SEPARATION = 2.0
+
+
+def validate_separated(balls: Sequence[tuple]) -> None:
+    """Require the dilations of the balls by _SEPARATION to be disjoint."""
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             (c1, r1), (c2, r2) = balls[i], balls[j]
-            x1, y1 = (c1.x, c1.y) if isinstance(c1, Point) else (c1[0], c1[1])
-            x2, y2 = (c2.x, c2.y) if isinstance(c2, Point) else (c2[0], c2[1])
-            if math.hypot(x1 - x2, y1 - y2) < factor * (r1 + r2):
-                raise ValueError(
-                    f"balls {i} and {j} are not {factor}-separated"
-                )
+            (x1, y1), (x2, y2) = _xy(c1), _xy(c2)
+            if math.hypot(x1 - x2, y1 - y2) < _SEPARATION * (r1 + r2):
+                raise ValueError(f"balls {i} and {j} are not {_SEPARATION}-separated")
 
 
 def property_void_scan(
@@ -523,7 +474,7 @@ def property_void_scan(
     construction; the geometric factor per ball is the report's ``q_hat``.
     """
     for i, (center, radius) in enumerate(balls):
-        x, y = (center.x, center.y) if isinstance(center, Point) else (center[0], center[1])
+        x, y = _xy(center)
         if not (math.isfinite(x) and math.isfinite(y) and 0 < radius < math.inf):
             raise ValueError(f"ball {i} needs a finite centre and a finite radius > 0")
     validate_separated(balls)

@@ -37,11 +37,11 @@ from .geometry import (
     REL_EPS,
     Annulus,
     Box,
-    Point,
     Polyline,
     Segment,
     _lexsort2,
     _sorted_unique,
+    _xy,
     batch_clip_to_box,
     batch_pair_intersections,
     box_sides,
@@ -506,7 +506,6 @@ def hits_all_balls(p: Polyline, balls: Sequence[tuple]) -> bool:
     """True iff the polyline meets every closed ball (center, radius)."""
     edges = _edges(p.coords)
     for center, radius in balls:
-        cx, cy = (center.x, center.y) if isinstance(center, Point) else (center[0], center[1])
-        if float(radial_interval(edges, cx, cy)[0].min()) > radius:
+        if float(radial_interval(edges, *_xy(center))[0].min()) > radius:
             return False
     return True

@@ -32,6 +32,11 @@ class Point:
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
 
+def _xy(p) -> tuple:
+    """The coordinates of a point given as a Point or an (x, y) pair."""
+    return (p.x, p.y) if isinstance(p, Point) else (p[0], p[1])
+
+
 @dataclass(frozen=True)
 class Stick:
     """One segment of the soup: center, half-length and direction angle."""
@@ -141,10 +146,7 @@ class Polyline:
         if isinstance(vertices, np.ndarray):
             coords = np.asarray(vertices, dtype=float)
         else:
-            coords = np.asarray(
-                [(v.x, v.y) if isinstance(v, Point) else (v[0], v[1]) for v in vertices],
-                dtype=float,
-            )
+            coords = np.asarray([_xy(v) for v in vertices], dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 1:
             raise GeometryError("polyline needs at least one (x, y) vertex")
         if not np.all(np.isfinite(coords)):

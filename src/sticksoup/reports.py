@@ -12,14 +12,21 @@ class FitError(RuntimeError):
     """Not enough usable rows for a decay fit."""
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+# the standard normal quantile of 0.975: the interval is a 95% one
+_Z95 = 1.959963984540054
+
+# rows with fewer successes are left out of a decay fit
+_MIN_FIT_SUCCESSES = 5
+
+
+def wilson_interval(successes: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
     p = successes / n
-    z2 = z * z
+    z2 = _Z95 * _Z95
     center = (p + z2 / (2 * n)) / (1 + z2 / n)
-    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+    half = _Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
     # clamp against rounding so the interval always brackets p
     return (max(0.0, min(center - half, p)), min(1.0, max(center + half, p)))
 
@@ -148,12 +155,11 @@ class DecayReport:
         return "\n".join(lines) + "\n"
 
 
-def fit_decay(indices, rows, master_seed, params, min_successes: int = 5
-              ) -> DecayReport:
+def fit_decay(indices, rows, master_seed, params) -> DecayReport:
     """Build a DecayReport from per-index EstimateReports."""
     xs, ys, ws, used = [], [], [], []
     for m, r in zip(indices, rows):
-        if r.successes < min_successes or r.estimate <= 0:
+        if r.successes < _MIN_FIT_SUCCESSES or r.estimate <= 0:
             continue
         xs.append(m * math.log(2.0))
         ys.append(math.log(r.estimate))

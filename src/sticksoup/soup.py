@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -33,7 +34,6 @@ class InfiniteMeasureError(ValueError):
 class SoupParams:
     u: float
     alpha: float
-    master_seed: int = 0
 
     def __post_init__(self):
         if not (self.u > 0):
@@ -66,8 +66,8 @@ class DiskWindow:
 class Configuration:
     """A sampled realization: all sticks with R >= r_min hitting the window.
 
-    ``stick_data`` is an (n, 4) array of rows (cx, cy, r, v); the ``sticks``
-    property materializes Stick objects on demand.  Deterministic given
+    ``stick_data`` is an (n, 4) array of rows (cx, cy, r, v); ``sticks``
+    materializes Stick objects on first use.  Deterministic given
     (params, window, r_min, seed).
     """
 
@@ -76,7 +76,6 @@ class Configuration:
     r_min: float
     seed: int
     stick_data: np.ndarray
-    _sticks_cache: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.stick_data = np.asarray(self.stick_data, dtype=float).reshape(-1, 4)
@@ -85,13 +84,9 @@ class Configuration:
     def n_sticks(self) -> int:
         return len(self.stick_data)
 
-    @property
+    @cached_property
     def sticks(self) -> list[Stick]:
-        if self._sticks_cache is None:
-            self._sticks_cache = [
-                Stick(Point(cx, cy), r, v) for cx, cy, r, v in self.stick_data
-            ]
-        return self._sticks_cache
+        return [Stick(Point(cx, cy), r, v) for cx, cy, r, v in self.stick_data]
 
     def segments(self) -> np.ndarray:
         """Endpoint array (n, 4) of the stick segments."""
@@ -220,7 +215,7 @@ def apply_homothety(c: Configuration, ratio: float) -> Configuration:
     data[:, 1] *= ratio
     data[:, 2] *= ratio
     u_eff = c.params.u * ratio ** (2.0 - c.params.alpha)
-    params = SoupParams(u_eff, c.params.alpha, c.params.master_seed)
+    params = SoupParams(u_eff, c.params.alpha)
     window = DiskWindow(
         Point(c.window.center.x * ratio, c.window.center.y * ratio),
         c.window.radius * ratio,
@@ -306,4 +301,4 @@ def configuration_from_jsonl(stream: IO[str] | Iterable[str]) -> Configuration:
     ):
         if np.any(bad):
             raise ValueError(f"line {lines[1 + int(np.argmax(bad))][0]}: {what}")
-    return Configuration(SoupParams(u, alpha, seed), window, r_min, seed, data)
+    return Configuration(SoupParams(u, alpha), window, r_min, seed, data)

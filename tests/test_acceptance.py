@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from sticksoup.estimators import (
-    ArmEventSpec,
     arm_decay_scan,
     coupled_arm_monotonicity,
     estimate_probability,
@@ -24,7 +23,7 @@ from sticksoup.estimators import (
     property_void_scan,
     y_gap_samples,
 )
-from sticksoup.events import double_circle_crossers, double_intersection_count
+from sticksoup.events import arm_event, double_circle_crossers, double_intersection_count
 from sticksoup.exploration import (
     DegeneracyError,
     box_dimension,
@@ -69,7 +68,7 @@ def report(cid: str, passed: bool, detail: str) -> None:
 
 def test_c01_parker_cowan_mean_count():
     rep = parker_cowan_check(
-        SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 10_000, 101
+        SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 10_000, 101
     )
     oracle = 3.75 * math.pi + 12.0
     ok = abs(rep.empirical_mean - rep.oracle) < 3.0 * rep.std_error
@@ -86,7 +85,7 @@ def test_c01_parker_cowan_mean_count():
 
 
 def test_c02_hit_count_and_radius_marginal():
-    params = SoupParams(1.0, 2.0, 0)
+    params = SoupParams(1.0, 2.0)
     window = DiskWindow(ORIGIN, 1.0)
     counts = np.empty(10_000)
     radii = []
@@ -128,7 +127,7 @@ def _band_double_crossers(u, lo, hi, trial_seed):
 
 
 def test_c03_double_intersection_identity():
-    params = SoupParams(1.0, 2.0, 0)
+    params = SoupParams(1.0, 2.0)
     window = DiskWindow(ORIGIN, 1.0)
     r_min, r_mid = 1e-3, 0.25
     n = 10_000
@@ -154,9 +153,10 @@ def test_c03_double_intersection_identity():
 
 
 def test_c04_arm_scale_invariance():
-    params = SoupParams(0.3, 2.0, 0)
+    params = SoupParams(0.3, 2.0)
     small = estimate_probability(
-        ArmEventSpec(Annulus(ORIGIN, 1.0, 2.0)),
+        "ArmEventSpec",
+        lambda c: arm_event(c, Annulus(ORIGIN, 1.0, 2.0)),
         params,
         DiskWindow(ORIGIN, 2.0),
         0.05,
@@ -164,7 +164,8 @@ def test_c04_arm_scale_invariance():
         404,
     )
     large = estimate_probability(
-        ArmEventSpec(Annulus(ORIGIN, 3.0, 6.0)),
+        "ArmEventSpec",
+        lambda c: arm_event(c, Annulus(ORIGIN, 3.0, 6.0)),
         params,
         DiskWindow(ORIGIN, 6.0),
         0.15,
@@ -287,7 +288,7 @@ def _p3_ok(res, ann):
 
 
 def _trace_batch(u, n_traces, salt):
-    params = SoupParams(u, 2.0, 0)
+    params = SoupParams(u, 2.0)
     ann = Annulus(Point(0.5, 0.5), 0.1, 0.4)
     summary = {
         "n": 0,
@@ -381,7 +382,7 @@ def test_c07_suffix_crosses_no_stick(sparse_batch, dense_batch):
 
 def test_c08_coupled_monotonicity():
     rep = coupled_arm_monotonicity(
-        SoupParams(0.3, 2.0, 0),
+        SoupParams(0.3, 2.0),
         Annulus(ORIGIN, 1.0, 2.0),
         [0.05, 0.1, 0.2, 0.4],
         400,
@@ -401,7 +402,7 @@ def test_c08_coupled_monotonicity():
 
 
 def test_c09_arm_decay():
-    rep = arm_decay_scan(SoupParams(0.1, 2.0, 0), 0.1, 4, 2000, 909)
+    rep = arm_decay_scan(SoupParams(0.1, 2.0), 0.1, 4, 2000, 909)
     est = rep.estimates
     decreasing = all(b < a for a, b in zip(est, est[1:]))
     ok = decreasing and rep.slope < 0 and rep.r_squared > 0.8
@@ -419,7 +420,7 @@ def test_c09_arm_decay():
 
 
 def test_c10_h1_decay():
-    params = SoupParams(0.1, 2.0, 0)
+    params = SoupParams(0.1, 2.0)
     k1 = h1_scan(params, 0.15, 1, 3, 600, 1010)
     k3 = h1_scan(params, 0.15, 3, 3, 600, 1010)
     nested = all(a <= b for a, b in zip(k3.estimates, k1.estimates))
@@ -444,7 +445,7 @@ def test_c11a_gap_tail_slope():
     # saturate near probability 1 and flatten the least-squares slope to
     # about -0.36, above the required -log(2) + 0.2 = -0.493.  The bound
     # P(gap >= n) <= c * u * 2^-n itself holds with room to spare.
-    gaps = y_gap_samples(SoupParams(1.0, 2.0, 0), 0, 0.125, 100_000, 1111)
+    gaps = y_gap_samples(SoupParams(1.0, 2.0), 0, 0.125, 100_000, 1111)
     ns = np.arange(3, 9)
     tail = np.array([(gaps >= n).mean() for n in ns])
     slope = float(np.polyfit(ns, np.log(tail), 1)[0])
@@ -459,7 +460,7 @@ def test_c11a_gap_tail_slope():
 
 def test_c11b_invasion_domination():
     rep = invasion_domination_check(
-        SoupParams(1.0, 2.0, 0), 6, 0.5, 400, 1112, t_values=(2, 4, 8)
+        SoupParams(1.0, 2.0), 6, 0.5, 400, 1112, t_values=(2, 4, 8)
     )
     report(
         "11b",
@@ -478,7 +479,7 @@ def test_c11b_invasion_domination():
 def test_c12_property_void():
     balls = [((0.10, 0.35), 0.05), ((0.31, 0.35), 0.05), ((0.52, 0.35), 0.05),
              ((0.73, 0.35), 0.05), ((0.94, 0.35), 0.05)]
-    rep = property_void_scan(SoupParams(0.2, 2.0, 0), 0.05, balls, 600, 1212)
+    rep = property_void_scan(SoupParams(0.2, 2.0), 0.05, balls, 600, 1212)
     est = rep.estimates
     nonincreasing = all(b <= a for a, b in zip(est, est[1:]))
     ok = nonincreasing and rep.q_hat < 1.0 and rep.r_squared > 0.7
@@ -512,7 +513,7 @@ def _koch_polyline(level):
 def test_c13_dimension_sanity():
     koch = box_dimension(_koch_polyline(5), [3.0 ** -k for k in range(1, 6)])
     koch_ok = abs(koch - math.log(4) / math.log(3)) <= 0.1
-    params = SoupParams(0.3, 2.0, 0)
+    params = SoupParams(0.3, 2.0)
     scales = [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128]
     dims = []
     i = 0

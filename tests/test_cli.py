@@ -16,6 +16,14 @@ def read(path):
     return path.read_bytes()
 
 
+def strict_json(text):
+    """json.loads refusing NaN and the infinities, which standard JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def jsonl(*objects):
     """JSON Lines text of the objects, leaving out the keys set to None."""
     return "".join(
@@ -301,6 +309,13 @@ def test_echoed_config(name, capsys):
     assert json.dumps(echoed, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+@pytest.mark.parametrize("name", list(ECHOES))
+def test_output_is_standard_json(name, capsys):
+    assert run(ECHOES[name][0]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        strict_json(line)
+
+
 def test_readme_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("```bash\n", 1)[1].split("```", 1)[0]
@@ -418,6 +433,23 @@ class TestVerify:
         assert doc["result"]["oracle"] == pytest.approx(3.75 * math.pi + 12)
         assert doc["version"]
 
+    PC_ARGV = ["verify", "parker-cowan", "--seed", "1"]
+
+    def test_parker_cowan_needs_two_trials(self, capsys):
+        argv = self.PC_ARGV + ["--u", "1", "--r", "0.5", "--t", "2", "--trials", "1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 2 trials" in captured.err
+
+    def test_parker_cowan_zero_spread_z_is_null(self, capsys):
+        # no stick has R in [5, 5.0001) in any of the five trials
+        argv = self.PC_ARGV + ["--u", "0.01", "--r", "5", "--t", "5.0001", "--trials", "5"]
+        assert run(argv) == 0
+        result = strict_json(capsys.readouterr().out)["result"]
+        assert result["empirical_mean"] == 0.0 and result["std_error"] == 0.0
+        assert result["z_score"] is None
+
     def test_double_circle(self, capsys):
         assert run(["verify", "double-circle", "--alpha", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -442,6 +474,13 @@ class TestEstimateCommands:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert read(a) == read(b)
+
+    @pytest.mark.parametrize("name", ["est-arm", "est-arm-scan", "est-crossing"])
+    def test_event_names(self, name, capsys):
+        assert run(ECHOES[name][0]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        expected = "CrossingEventSpec" if name == "est-crossing" else "ArmEventSpec"
+        assert {row["params"]["event"] for row in result.get("rows", [result])} == {expected}
 
     def test_estimate_lr1(self, capsys):
         assert run(["estimate", "lr1", "--u", "0.5", "--l", "1", "--k", "1",

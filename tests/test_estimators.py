@@ -8,11 +8,7 @@ import pytest
 
 from sticksoup import estimators
 from sticksoup.estimators import (
-    ArmEventSpec,
-    CrossingEventSpec,
     LocalEvent,
-    NonemptyEvent,
-    PredicateEvent,
     arm_decay_scan,
     correlation_estimate,
     coupled_arm_monotonicity,
@@ -27,7 +23,7 @@ from sticksoup.estimators import (
     y_gap_samples,
 )
 from sticksoup.events import arm_event
-from sticksoup.exploration import DegeneracyError
+from sticksoup.exploration import DegeneracyError, build_arrangement, trace_exploration
 from sticksoup.geometry import Annulus, Box, Point
 from sticksoup.reports import FitError, from_successes, wilson_interval
 from sticksoup.seeds import derive_seed
@@ -56,25 +52,27 @@ def one_cpu(cpus):
 class TestEstimateProbability:
     def test_void_probability_reference(self):
         # mean count 0.8314 at r_min = 10: P(nonempty) = 1 - exp(-0.8314)
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         rep = estimate_probability(
-            NonemptyEvent(), params, DiskWindow(ORIGIN, 1.0), 10.0, 2000, 3
+            "nonempty", lambda c: c.n_sticks > 0, params, DiskWindow(ORIGIN, 1.0),
+            10.0, 2000, 3,
         )
         expect = 1.0 - math.exp(-(math.pi * 1e-2 + 0.8))
         assert abs(rep.estimate - expect) < 3 * max(rep.std_error, 1e-3)
 
     def test_impossible_event_is_zero(self):
-        params = SoupParams(1e-12, 2.0, 0)
+        params = SoupParams(1e-12, 2.0)
         ann = Annulus(ORIGIN, 1.0, 2.0)
         rep = estimate_probability(
-            ArmEventSpec(ann), params, DiskWindow(ORIGIN, 2.0), 0.5, 300, 3
+            "arm", lambda c: arm_event(c, ann), params, DiskWindow(ORIGIN, 2.0), 0.5, 300, 3
         )
         assert rep.successes == 0 and rep.estimate == 0.0
 
     def test_same_seed_identical_report(self):
-        params = SoupParams(0.3, 2.0, 0)
+        params = SoupParams(0.3, 2.0)
         args = (
-            ArmEventSpec(Annulus(ORIGIN, 1.0, 2.0)),
+            "arm",
+            lambda c: arm_event(c, Annulus(ORIGIN, 1.0, 2.0)),
             params,
             DiskWindow(ORIGIN, 2.0),
             0.2,
@@ -84,10 +82,11 @@ class TestEstimateProbability:
         assert estimate_probability(*args) == estimate_probability(*args)
 
     def test_crossing_event_runs(self):
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         box = Box(Point(0, 0), Point(1, 1))
         rep = estimate_probability(
-            CrossingEventSpec(box),
+            "crossing",
+            lambda c: trace_exploration(build_arrangement(c, box)).outcome == "Right",
             params,
             DiskWindow(Point(0.5, 0.5), math.sqrt(2) / 2),
             0.1,
@@ -99,7 +98,8 @@ class TestEstimateProbability:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             estimate_probability(
-                NonemptyEvent(), SoupParams(1, 2, 0), DiskWindow(ORIGIN, 1), 1, 0, 0
+                "nonempty", lambda c: c.n_sticks > 0, SoupParams(1, 2),
+                DiskWindow(ORIGIN, 1), 1, 0, 0,
             )
 
 
@@ -113,7 +113,7 @@ class TestDegeneracyResample:
             return True
 
         rep = estimate_probability(
-            PredicateEvent("forced", fn), SoupParams(1.0, 2.0, 0),
+            "forced", fn, SoupParams(1.0, 2.0),
             DiskWindow(ORIGIN, 1.0), 1.0, 6, 17,
         )
         assert rep.params["resamples"] == 3
@@ -125,7 +125,7 @@ class TestDegeneracyResample:
 
         with pytest.raises(DegeneracyError, match="trial 0"):
             estimate_probability(
-                PredicateEvent("never", fn), SoupParams(1.0, 2.0, 0),
+                "never", fn, SoupParams(1.0, 2.0),
                 DiskWindow(ORIGIN, 1.0), 1.0, 2, 17,
             )
 
@@ -141,7 +141,7 @@ class TestDegeneracyResample:
             return real(c, b)
 
         monkeypatch.setattr(estimators, "build_arrangement", flaky)
-        rep = h1_scan(SoupParams(0.2, 2.0, 0), 0.15, 1, 2, 60, 8)
+        rep = h1_scan(SoupParams(0.2, 2.0), 0.15, 1, 2, 60, 8)
         assert len(calls) == 61
         assert calls[:2] == [derive_seed(8, 0, 0), derive_seed(8, 0, 1)]
         assert [r.n_trials for r in rep.rows] == [60, 60]
@@ -164,7 +164,7 @@ class TestWilson:
 
 class TestArmDecayScan:
     def test_small_scan_structure(self):
-        params = SoupParams(0.15, 2.0, 0)
+        params = SoupParams(0.15, 2.0)
         rep = arm_decay_scan(params, 0.2, 2, 80, 11)
         assert rep.indices == [1, 2]
         assert len(rep.rows) == 2
@@ -173,7 +173,7 @@ class TestArmDecayScan:
         assert len(csv.splitlines()) == 3
 
     def test_all_zero_rows_fit_error(self):
-        params = SoupParams(1e-12, 2.0, 0)
+        params = SoupParams(1e-12, 2.0)
         with pytest.raises(FitError):
             arm_decay_scan(params, 0.5, 2, 30, 1)
 
@@ -193,7 +193,7 @@ class TestArmDecayScan:
             return real(params, window, r_min, n_trials, seed, record)
 
         monkeypatch.setattr(estimators, "run_trials", spy)
-        rep = arm_decay_scan(SoupParams(u, 2.0, 0), r_min, m_max, 100, 31)
+        rep = arm_decay_scan(SoupParams(u, 2.0), r_min, m_max, 100, 31)
         assert len(seen) == 100
         for cfg, rows in seen:
             assert cfg.window.radius == 2.0 ** m_max
@@ -207,9 +207,10 @@ class TestArmDecayScan:
         assert successes[0] < 100 and successes[-1] > 0
 
     def test_rows_share_the_last_rows_samples(self):
-        rep = arm_decay_scan(SoupParams(0.1, 2.0, 0), 0.2, 3, 60, 7)
+        rep = arm_decay_scan(SoupParams(0.1, 2.0), 0.2, 3, 60, 7)
         single = estimate_probability(
-            ArmEventSpec(Annulus(ORIGIN, 1.0, 8.0)), SoupParams(0.1, 2.0, 0),
+            "ArmEventSpec", lambda c: arm_event(c, Annulus(ORIGIN, 1.0, 8.0)),
+            SoupParams(0.1, 2.0),
             DiskWindow(ORIGIN, 8.0), 0.2, 60, derive_seed(7, 1003),
         )
         assert rep.rows[-1] == single
@@ -219,7 +220,7 @@ class TestArmDecayScan:
         # every row's std_error is the binomial formula; the x2 from 4x the
         # trials is checked on the rows away from p = 0 and 1 only, where a
         # few trials cannot swing the ratio
-        params = SoupParams(0.15, 2.0, 0)
+        params = SoupParams(0.15, 2.0)
         small = arm_decay_scan(params, 0.2, 3, 100, 5)
         big = arm_decay_scan(params, 0.2, 3, 400, 5)
         mid = 0
@@ -236,13 +237,13 @@ class TestArmDecayScan:
 
 class TestH1Scan:
     def test_nested_in_k_with_shared_seed(self):
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         r1 = h1_scan(params, 0.15, 1, 2, 100, 21)
         r3 = h1_scan(params, 0.15, 3, 2, 100, 21)
         assert all(a <= b for a, b in zip(r3.estimates, r1.estimates))
 
     def test_deterministic(self):
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         a = h1_scan(params, 0.15, 1, 2, 60, 8)
         b = h1_scan(params, 0.15, 1, 2, 60, 8)
         assert a.estimates == b.estimates
@@ -250,7 +251,7 @@ class TestH1Scan:
 
 class TestCorrelation:
     def test_identical_events_give_variance(self):
-        params = SoupParams(0.5, 2.0, 0)
+        params = SoupParams(0.5, 2.0)
         f = hits_disk_event(1.0)
         rep = correlation_estimate(f, f, params, 4.0, 400, 2)  # p well inside (0,1)
         p = rep.p1
@@ -267,20 +268,20 @@ class TestCorrelation:
                 lambda c: bool(np.any((c.stick_data[:, 2] >= lo) & (c.stick_data[:, 2] < hi))),
             )
 
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         rep = correlation_estimate(
             band_event(0.5, 1.0, 2.0), band_event(2.0, 4.0, 2.0), params, 0.5, 1500, 4
         )
         assert abs(rep.cov_estimate) <= 3 * rep.std_error + 1e-12
 
     def test_degenerate_flagged(self):
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         always = LocalEvent("always", 1.0, lambda c: True)
         rep = correlation_estimate(always, always, params, 0.5, 50, 1)
         assert rep.degenerate and rep.cov_estimate == 0.0
 
     def test_bound_attached(self):
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         rep = correlation_estimate(
             hits_disk_event(1.0), crosses_circle_event(100.0), params, 4.0, 50, 1
         )
@@ -289,14 +290,14 @@ class TestCorrelation:
 
 class TestParkerCowanCheck:
     def test_matches_oracle(self):
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         rep = parker_cowan_check(params, DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 1500, 6)
         assert abs(rep.z_score) < 3.5
         assert rep.oracle == pytest.approx(3.75 * math.pi + 12)
 
     def test_detects_wrong_intensity(self):
         # sample at 2u but score against the u oracle: z must blow up
-        params = SoupParams(2.0, 2.0, 0)
+        params = SoupParams(2.0, 2.0)
         rep = parker_cowan_check(params, DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 1500, 6)
         oracle_u1 = 3.75 * math.pi + 12
         z = (rep.empirical_mean - oracle_u1) / rep.std_error
@@ -304,7 +305,7 @@ class TestParkerCowanCheck:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
-            parker_cowan_check(SoupParams(1, 2, 0), DiskWindow(ORIGIN, 1), 0.5, 2, 0, 0)
+            parker_cowan_check(SoupParams(1, 2), DiskWindow(ORIGIN, 1), 0.5, 2, 0, 0)
 
 
 class TestVoidScan:
@@ -316,20 +317,20 @@ class TestVoidScan:
         validate_separated(self.BALLS)
 
     def test_nonincreasing_prefixes(self):
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         rep = property_void_scan(params, 0.08, self.BALLS, 120, 9)
         est = rep.estimates
         assert all(b <= a for a, b in zip(est, est[1:]))
 
     def test_q_hat_definition(self):
-        params = SoupParams(0.2, 2.0, 0)
+        params = SoupParams(0.2, 2.0)
         rep = property_void_scan(params, 0.08, self.BALLS, 120, 9)
         assert rep.q_hat == pytest.approx(2.0 ** rep.slope)
 
 
 class TestCoupledMonotonicity:
     def test_zero_violations_by_construction(self):
-        params = SoupParams(0.3, 2.0, 0)
+        params = SoupParams(0.3, 2.0)
         rep = coupled_arm_monotonicity(
             params, Annulus(ORIGIN, 1.0, 2.0), [0.1, 0.2, 0.4], 80, 13
         )
@@ -339,7 +340,7 @@ class TestCoupledMonotonicity:
 
 class TestInvasionDomination:
     def test_paired_check_runs_and_dominates(self):
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         rep = invasion_domination_check(params, 6, 0.5, 80, 17, t_values=(2, 4))
         assert rep.dominated
         assert rep.mean_invasion_sums[0] <= rep.mean_iid_sums[0] + 3 * rep.diff_std_errors[0] + 1e-9
@@ -347,7 +348,7 @@ class TestInvasionDomination:
 
 class TestYGapSamples:
     def test_deterministic_and_positive(self):
-        params = SoupParams(1.0, 2.0, 0)
+        params = SoupParams(1.0, 2.0)
         a = y_gap_samples(params, 0, 0.125, 200, 3)
         b = y_gap_samples(params, 0, 0.125, 200, 3)
         assert np.array_equal(a, b)
@@ -393,14 +394,14 @@ class TestPooledTrials:
     # degenerate itself), and the run
     CASES = {
         "probability": (None, lambda: estimate_probability(
-            PredicateEvent("many", degenerate_on_a_fifth(lambda c: c.n_sticks > 3)),
-            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 60, 17)),
-        "h1": ("build_arrangement", lambda: h1_scan(SoupParams(0.2, 2.0, 0), 0.15, 1, 2, 24, 8)),
-        "arm": ("arm_reach", lambda: arm_decay_scan(SoupParams(0.15, 2.0, 0), 0.2, 2, 30, 11)),
+            "many", degenerate_on_a_fifth(lambda c: c.n_sticks > 3),
+            SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 60, 17)),
+        "h1": ("build_arrangement", lambda: h1_scan(SoupParams(0.2, 2.0), 0.15, 1, 2, 24, 8)),
+        "arm": ("arm_reach", lambda: arm_decay_scan(SoupParams(0.15, 2.0), 0.2, 2, 30, 11)),
         "invasion": ("invasion_sequence", lambda: invasion_domination_check(
-            SoupParams(1.0, 2.0, 0), 5, 0.5, 20, 17)),
+            SoupParams(1.0, 2.0), 5, 0.5, 20, 17)),
         "parker_cowan": (None, lambda: parker_cowan_check(
-            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 400, 6)),
+            SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 400, 6)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -417,14 +418,14 @@ class TestPooledTrials:
     def test_trials_run_in_workers(self, cpus):
         cpus(2)
         pids, resamples = estimators.run_trials(
-            SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 12, 3,
+            SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 12, 3,
             degenerate_on_a_fifth(lambda c: os.getpid()),
         )
         assert len(pids) == 12 and resamples > 0
         assert os.getpid() not in pids
 
     def test_counts_match_serial(self, cpus):
-        args = (SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 300, 6,
+        args = (SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 300, 6,
                 degenerate_on_a_fifth(lambda c: np.count_nonzero(c.stick_data[:, 2] < 2.0)))
         serial, pooled = self.serial_and_pooled(cpus, lambda: estimators.run_trials(*args))
         assert pooled == serial and serial[1] > 0
@@ -444,7 +445,7 @@ class TestPooledTrials:
 
         def run():
             with pytest.raises(error) as info:
-                estimators.run_trials(SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0),
+                estimators.run_trials(SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0),
                                       0.5, 8, 23, fn)
             assert multiprocessing.active_children() == []
             return str(info.value)
@@ -458,7 +459,7 @@ class TestPooledTrials:
 
     def test_no_child_outlives_the_call(self, cpus):
         cpus(2)
-        estimators.run_trials(SoupParams(1.0, 2.0, 0), DiskWindow(ORIGIN, 1.0), 0.5, 8, 1,
+        estimators.run_trials(SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 8, 1,
                               lambda c: c.n_sticks)
         assert multiprocessing.active_children() == []
 
@@ -471,6 +472,6 @@ class TestPooledTrials:
                                              lambda d: os.getpid())
             return os.getpid(), set(inner)
 
-        results, _ = estimators.run_trials(SoupParams(1.0, 2.0, 0), window, 0.5, 4, 2, outer)
+        results, _ = estimators.run_trials(SoupParams(1.0, 2.0), window, 0.5, 4, 2, outer)
         for pid, inner in results:
             assert pid != os.getpid() and inner == {pid}

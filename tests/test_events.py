@@ -37,7 +37,7 @@ from sticksoup.soup import (
     sample_configuration,
 )
 
-PARAMS = SoupParams(1.0, 2.0, 0)
+PARAMS = SoupParams(1.0, 2.0)
 
 
 def cfg_from(rows, window_radius=8.0, r_min=0.01, center=(0.0, 0.0)):
@@ -147,7 +147,7 @@ class TestAnnulusClip:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_seeded_soup(self, seed):
         cfg = sample_configuration(
-            SoupParams(0.3, 2.0, 0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
+            SoupParams(0.3, 2.0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
         )
         ann = Annulus(Point(0, 0), 0.25, 2.0)
         segs = cfg.segments()
@@ -190,7 +190,7 @@ class TestArmEvent:
     def test_monotone_under_restriction(self):
         window = DiskWindow(Point(0, 0), 2.0)
         for i in range(25):
-            fine = sample_configuration(SoupParams(0.4, 2.0, 0), window, 0.05, 500 + i)
+            fine = sample_configuration(SoupParams(0.4, 2.0), window, 0.05, 500 + i)
             prev = None
             for r in (0.05, 0.1, 0.2, 0.4):
                 ind = arm_event(restrict_configuration(fine, r), self.ANN)
@@ -205,7 +205,7 @@ class TestArmEvent:
         window = DiskWindow(Point(0, 0), 4.0)
         outcomes = []
         for i in range(40):
-            c = sample_configuration(SoupParams(0.1, 2.0, 0), window, 0.2, 500 + i)
+            c = sample_configuration(SoupParams(0.1, 2.0), window, 0.2, 500 + i)
             base = arm_event(c, Annulus(Point(0, 0), 1.0, 4.0))
             assert arm_event(apply_homothety(c, 4.0), Annulus(Point(0, 0), 4.0, 16.0)) == base
             outcomes.append(base)
@@ -214,7 +214,7 @@ class TestArmEvent:
     def test_homothety_equivariance(self):
         window = DiskWindow(Point(0, 0), 2.0)
         for i in range(15):
-            c = sample_configuration(SoupParams(0.4, 2.0, 0), window, 0.08, 900 + i)
+            c = sample_configuration(SoupParams(0.4, 2.0), window, 0.08, 900 + i)
             base = arm_event(c, self.ANN)
             for ratio in (0.5, 3.0):
                 scaled = apply_homothety(c, ratio)
@@ -278,7 +278,7 @@ class TestArmReachFlood:
             window = DiskWindow(Point(0, 0), 2.0 ** m)
             ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
             for i in range(count):
-                c = sample_configuration(SoupParams(u, 2.0, 0), window, r_min,
+                c = sample_configuration(SoupParams(u, 2.0), window, r_min,
                                          derive_seed(31, int(100 * u), m, i, int(100 * r_min)))
                 events.append(self.check(c, ann) >= ann.outer - region_tol(ann))
                 sizes.append(len(_clip_to_region(c.segments(), ann)[0]))

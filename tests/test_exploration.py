@@ -36,7 +36,7 @@ from sticksoup.soup import (
     sample_configuration,
 )
 
-PARAMS = SoupParams(1.0, 2.0, 0)
+PARAMS = SoupParams(1.0, 2.0)
 UNIT_BOX = Box(Point(0, 0), Point(1, 1))
 UNIT_WINDOW = DiskWindow(Point(0.5, 0.5), math.sqrt(2) / 2)
 
@@ -157,7 +157,7 @@ class TestArrangementInvariants:
         window = DiskWindow(Point(0, 0), half * math.sqrt(2))
         built = 0
         for seed in range(20):
-            cfg = sample_configuration(SoupParams(u, 2.0, seed), window, r_min, seed)
+            cfg = sample_configuration(SoupParams(u, 2.0), window, r_min, seed)
             try:
                 arr = build_arrangement(cfg, box)
             except DegeneracyError:
@@ -273,7 +273,7 @@ GOLDEN_WALKS = {
 @pytest.mark.parametrize("seed", sorted(GOLDEN_WALKS))
 def test_golden_walk(seed):
     window = DiskWindow(UNIT_BOX.center(), UNIT_BOX.diagonal() / 2.0)
-    cfg = sample_configuration(SoupParams(0.3, 2.0, seed), window, 0.08, seed)
+    cfg = sample_configuration(SoupParams(0.3, 2.0), window, 0.08, seed)
     res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
     digest = hashlib.sha256(res.path.coords.tobytes()).hexdigest()
     assert (res.outcome, digest, res.edge_labels) == GOLDEN_WALKS[seed]
@@ -283,7 +283,7 @@ def test_golden_walk(seed):
 def test_sticks_touched_in_walk_order(seed):
     labels = GOLDEN_WALKS[seed][2]
     window = DiskWindow(UNIT_BOX.center(), UNIT_BOX.diagonal() / 2.0)
-    cfg = sample_configuration(SoupParams(0.3, 2.0, seed), window, 0.08, seed)
+    cfg = sample_configuration(SoupParams(0.3, 2.0), window, 0.08, seed)
     res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
     assert res.sticks_touched == list(dict.fromkeys(x for x in labels if x >= 0))
     assert all(type(x) is int for x in res.sticks_touched + res.edge_labels)
@@ -312,7 +312,7 @@ GOLDEN_WALKS_H1 = {
 def test_golden_walk_h1_size(seed):
     box = Box(Point(-8, -8), Point(8, 8))
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
-    cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+    cfg = sample_configuration(SoupParams(0.2, 2.0), window, 0.1, seed)
     res = trace_exploration(build_arrangement(cfg, box))
     labels = np.asarray(res.edge_labels, dtype=np.int64)
     assert (
@@ -332,7 +332,7 @@ def test_walk_commutes_with_exact_homothety():
     annuli = [((0.5, 0.5), 0.1, 0.4), ((0.5, 0.5), 0.2, 0.45), ((0.25, 0.1), 0.05, 0.2)]
     counts = []
     for seed in range(20):
-        cfg = sample_configuration(SoupParams(0.3, 2.0, seed), UNIT_WINDOW, 0.08, seed)
+        cfg = sample_configuration(SoupParams(0.3, 2.0), UNIT_WINDOW, 0.08, seed)
         res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
         scaled = trace_exploration(build_arrangement(apply_homothety(cfg, 4.0), big))
         assert np.array_equal(scaled.path.coords, 4.0 * res.path.coords)
@@ -506,7 +506,7 @@ class TestDichotomySmoke:
     def test_agreement_with_cluster_oracle(self):
         mismatches = 0
         for i in range(60):
-            cfg = sample_configuration(SoupParams(0.4, 2.0, 0), UNIT_WINDOW, 0.05, 3000 + i)
+            cfg = sample_configuration(SoupParams(0.4, 2.0), UNIT_WINDOW, 0.05, 3000 + i)
             try:
                 res = trace_exploration(build_arrangement(cfg, UNIT_BOX))
             except DegeneracyError:
@@ -524,7 +524,7 @@ class TestDichotomySmoke:
         built = 0
         for seed in range(150):
             rng = np.random.default_rng(seed)
-            cfg = sample_configuration(SoupParams(0.4, 2.0, 0), UNIT_WINDOW, 0.08, seed)
+            cfg = sample_configuration(SoupParams(0.4, 2.0), UNIT_WINDOW, 0.08, seed)
             cx, cy, r, v = cfg.stick_data[rng.integers(0, cfg.n_sticks, 3)].T
             d = rng.choice([0.0, 0.3, 0.6, 0.9, 1.5], 3) * eps
             th = rng.uniform(0, 2 * math.pi, 3)
@@ -625,7 +625,7 @@ GOLDEN_TRAVERSALS_H1 = {
 def test_golden_traversals_h1_size(seed):
     box = Box(Point(-8, -8), Point(8, 8))
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
-    cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+    cfg = sample_configuration(SoupParams(0.2, 2.0), window, 0.1, seed)
     res = trace_exploration(build_arrangement(cfg, box))
     rows = []
     for inner in (2.0, 1.0, 0.5):

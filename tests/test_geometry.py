@@ -251,7 +251,7 @@ class TestCandidatePairsGrid:
         if seed == "touching":
             return TestCandidatePairsGrid.touching_segments()
         cfg = sample_configuration(
-            SoupParams(0.15, 2.0, 0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
+            SoupParams(0.15, 2.0), DiskWindow(Point(0, 0), 2.0), 0.05, seed
         )
         rng = np.random.default_rng(seed)
         k = 40
@@ -416,7 +416,7 @@ class TestCandidatePairsMatchLexsort:
         ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
         for i in range(3):
             cfg = sample_configuration(
-                SoupParams(0.15, 2.0, 0), DiskWindow(Point(0, 0), 2.0 ** m), 0.05,
+                SoupParams(0.15, 2.0), DiskWindow(Point(0, 0), 2.0 ** m), 0.05,
                 derive_seed(12, m, i),
             )
             pieces, _, _ = _clip_to_region(cfg.segments(), ann)
@@ -427,7 +427,7 @@ class TestCandidatePairsMatchLexsort:
         box = Box(Point(-8, -8), Point(8, 8))
         for i in range(2):
             cfg = sample_configuration(
-                SoupParams(0.2, 2.0, 0), DiskWindow(Point(0, 0), 8 * math.sqrt(2)), 0.1,
+                SoupParams(0.2, 2.0), DiskWindow(Point(0, 0), 8 * math.sqrt(2)), 0.1,
                 derive_seed(13, i),
             )
             _, pieces = batch_clip_to_box(cfg.segments(), box)
@@ -644,7 +644,7 @@ class TestComponentsMatchScipy:
         sticks of an h1 scan soup on [-8, 8]^2, joined where they meet."""
         box = Box(Point(-8, -8), Point(8, 8))
         window = DiskWindow(Point(0, 0), 8 * math.sqrt(2))
-        cfg = sample_configuration(SoupParams(0.2, 2.0, seed), window, 0.1, seed)
+        cfg = sample_configuration(SoupParams(0.2, 2.0), window, 0.1, seed)
         _, clipped = batch_clip_to_box(cfg.segments(), box)
         segs = np.vstack([
             [[-8, -8, 8, -8], [8, -8, 8, 8], [-8, 8, 8, 8], [-8, -8, -8, 8]], clipped,

@@ -21,7 +21,7 @@ from sticksoup.soup import (
     sample_configuration,
 )
 
-PARAMS = SoupParams(1.0, 2.0, 0)
+PARAMS = SoupParams(1.0, 2.0)
 UNIT = DiskWindow(Point(0.0, 0.0), 1.0)
 
 
@@ -128,7 +128,7 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_configuration(PARAMS, UNIT, 0.0, 1)
         with pytest.raises(InfiniteMeasureError):
-            sample_configuration(SoupParams(1.0, 0.9, 0), UNIT, 1.0, 1)
+            sample_configuration(SoupParams(1.0, 0.9), UNIT, 1.0, 1)
 
 
 class TestRestriction:
@@ -165,7 +165,7 @@ class TestHomothety:
         assert out.r_min == 1.0
 
     def test_intensity_annotation(self):
-        cfg = sample_configuration(SoupParams(0.5, 1.5, 0), UNIT, 0.5, 1)
+        cfg = sample_configuration(SoupParams(0.5, 1.5), UNIT, 0.5, 1)
         out = apply_homothety(cfg, 4.0)
         assert out.params.u == pytest.approx(0.5 * 4.0 ** 0.5)
         out2 = apply_homothety(sample_configuration(PARAMS, UNIT, 0.5, 1), 4.0)
