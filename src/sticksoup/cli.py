@@ -287,16 +287,19 @@ def _estimate_crossing(args) -> dict:
     return rep.to_json_dict()
 
 
+def _check_result(rep) -> dict:
+    """A check report's fields less its provenance, which the echoed config
+    carries (--trials, --seed and the command's flags)."""
+    return {k: v for k, v in asdict(rep).items()
+            if k not in ("n_trials", "master_seed", "params")}
+
+
 def _estimate_correlation(args) -> dict:
     rep = correlation_estimate(
         hits_disk_event(args.l1), crosses_circle_event(args.l2),
         _params(args), args.rmin, args.trials, args.seed,
     )
-    return {
-        "cov_estimate": rep.cov_estimate, "std_error": rep.std_error,
-        "bound": rep.bound, "p1": rep.p1, "p2": rep.p2,
-        "degenerate": rep.degenerate,
-    }
+    return _check_result(rep)
 
 
 def _estimate_void(args) -> dict:
@@ -312,8 +315,7 @@ def _estimate_void(args) -> dict:
 def _verify_parker_cowan(args) -> dict:
     window = DiskWindow(Point(0.0, 0.0), args.window_radius)
     rep = parker_cowan_check(_params(args), window, args.r, args.t, args.trials, args.seed)
-    return {"empirical_mean": rep.empirical_mean, "std_error": rep.std_error,
-            "oracle": rep.oracle, "z_score": rep.z_score}
+    return _check_result(rep)
 
 
 def _verify_double_circle(args) -> dict:
@@ -336,15 +338,7 @@ def _invasion(args):
     params = _params(args)
     if args.domination:
         rep = invasion_domination_check(params, args.m, args.rmin, args.trials, args.seed)
-        return {
-            "t_values": rep.t_values,
-            "mean_invasion_sums": rep.mean_invasion_sums,
-            "mean_iid_sums": rep.mean_iid_sums,
-            "diff_means": rep.diff_means,
-            "diff_std_errors": rep.diff_std_errors,
-            "dominated": rep.dominated,
-            "truncated_records": rep.truncated_records,
-        }
+        return _check_result(rep)
     window = DiskWindow(Point(0.0, 0.0), 2.0 ** args.m)
     records, _ = run_trials(
         params, window, args.rmin, args.trials, args.seed,

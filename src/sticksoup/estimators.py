@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .events import arm_event, arm_reach, invasion_sequence, y_statistic
+from .events import arm_event, arm_reach, arm_target, invasion_sequence, y_statistic
 from .exploration import (
     DegeneracyError,
     build_arrangement,
@@ -23,7 +23,7 @@ from .exploration import (
     last_left_subpath,
     trace_exploration,
 )
-from .geometry import Annulus, Box, Point, _xy, radial_interval, region_tol
+from .geometry import Annulus, Box, Point, _xy, radial_interval
 from .measures import decorrelation_bound
 from .reports import DecayReport, EstimateReport, fit_decay, from_successes
 from .seeds import derive_seed
@@ -231,10 +231,7 @@ def arm_decay_scan(
     outer = 2.0 ** m_max
     window = DiskWindow(origin, outer)
     annulus = Annulus(origin, 1.0, outer)
-    reach_needed = [
-        2.0 ** m - region_tol(Annulus(origin, 1.0, 2.0 ** m))
-        for m in range(1, m_max + 1)
-    ]
+    reach_needed = [arm_target(Annulus(origin, 1.0, 2.0 ** m)) for m in range(1, m_max + 1)]
 
     def evaluate(cfg):
         reach = arm_reach(cfg, annulus)

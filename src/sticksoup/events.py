@@ -130,26 +130,18 @@ def _materialize(segs, owners, t0, t1, min_len_eps):
     return out, owners[keep]
 
 
-def _clip_nodes(segs: np.ndarray, region):
-    """Clip segments to the region; the pieces of one segment form one node.
+def _piece_clusters(segs: np.ndarray, region):
+    """Clip segments to the region and cluster them; the pieces of one segment
+    form one node.
 
-    Returns (pieces, touch, kept, node): the clipped pieces and their
+    Returns (pieces, touch, kept, node, labels): the clipped pieces and their
     boundary flags as from _clip_to_region, the sorted indices of the
-    segments with a nonempty clip and each piece's node (its position in
-    ``kept``).
+    segments with a nonempty clip, each piece's node (its position in
+    ``kept``) and each node's cluster label.
     """
     pieces, owners, touch = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
-    return pieces, touch, kept, np.searchsorted(kept, owners)
-
-
-def _piece_clusters(segs: np.ndarray, region):
-    """Clip segments to the region and cluster them.
-
-    Returns (pieces, touch, kept, node, labels): as from _clip_nodes, plus
-    each node's cluster label.
-    """
-    pieces, touch, kept, node = _clip_nodes(segs, region)
+    node = np.searchsorted(kept, owners)
     ri = rj = np.empty(0, dtype=np.int64)
     if len(pieces) > 1:
         tol = region_tol(region)
@@ -162,25 +154,25 @@ def _piece_clusters(segs: np.ndarray, region):
     return pieces, touch, kept, node, labels
 
 
-def _flood(pieces: np.ndarray, node: np.ndarray, seeds: np.ndarray, eps: float):
-    """Per node, whether it is joined to a seed node by a chain of hitting
+def _flood(pieces: np.ndarray, seeds: np.ndarray, eps: float):
+    """Per piece, whether it is joined to a seed piece by a chain of hitting
     pieces: the union of the seeds' components in _piece_clusters.
 
     Each round looks up the grid cells of the newly reached pieces only and
-    tests each (lower, higher) candidate pair whose partner's node is not
-    reached yet; the grid, the pair test and the tolerance are those of the
-    full labelling, so the same edges decide the same components.
+    tests each (lower, higher) candidate pair whose partner is not reached
+    yet; the grid, the pair test and the tolerance are those of the full
+    labelling, so the same edges decide the same components.  Seeded from
+    the pieces touching an annulus' inner circle, the pieces need no grouping
+    by stick: a stick is split only where it crosses the open hole, and then
+    both of its pieces end on the inner circle, so both are seeds.
     """
     n = len(pieces)
     cells, count, key = _cell_table(pieces, eps)
     first = np.cumsum(count) - count
-    reached = np.zeros(node.max() + 1, dtype=bool)
-    new = _sorted_unique(seeds)
-    while new.size:
-        reached[new] = True
-        fresh = np.zeros_like(reached)
-        fresh[new] = True
-        front = np.flatnonzero(fresh[node])
+    reached = np.zeros(n, dtype=bool)
+    front = seeds
+    while front.size:
+        reached[front] = True
         # the frontier's own keys, sorted so that the lookups run in order
         e = np.repeat(first[front], count[front]) + _concat_ranges(count[front])
         q = np.sort(cells[e] * np.int64(n) + np.repeat(front, count[front]))
@@ -189,13 +181,15 @@ def _flood(pieces: np.ndarray, node: np.ndarray, seeds: np.ndarray, eps: float):
         size = np.searchsorted(key, c + n) - lo
         a = np.repeat(q - c, size)
         b = key[np.repeat(lo, size) + _concat_ranges(size)] - np.repeat(c, size)
-        open_ = ~reached[node[b]]
+        open_ = ~reached[b]
         a, b = a[open_], b[open_]
+        # the narrow phase scales its collinear test by the first segment's
+        # length, so each pair keeps the (lower, higher) order of the labelling
         pair = _sorted_unique(np.minimum(a, b) * np.int64(n) + np.maximum(a, b))
         I, J = pair // n, pair % n
         hits, _, _, _ = batch_pair_intersections(pieces, I, J, eps)
-        new = _sorted_unique(node[np.concatenate([I[hits], J[hits]])])
-        new = new[~reached[new]]
+        front = _sorted_unique(np.concatenate([I[hits], J[hits]]))
+        front = front[~reached[front]]
     return reached
 
 
@@ -238,23 +232,31 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     A path from the inner circle that reaches radius rho <= ann.outer has a
     prefix inside A(inner, rho), so one cluster build answers the arm event
     of every annulus A(inner, rho) inside ann (up to the narrow phase's
-    tolerance, which is ann's).  The clusters are flooded from the pieces
-    touching the inner circle; the others are never labelled.
+    tolerance, which is ann's).  The clipped pieces are flooded, piece by
+    piece, from those touching the inner circle (see _flood); the others are
+    never labelled.
     """
     c.window.require_contains(ann.center, ann.outer)
     if c.n_sticks == 0:
         return -math.inf
-    pieces, touch, _, node = _clip_nodes(c.segments(), ann)
-    if not np.any(touch["inner"]):
+    pieces, _, touch = _clip_to_region(c.segments(), ann)
+    seeds = np.flatnonzero(touch["inner"])
+    if not seeds.size:
         return -math.inf
-    reached = _flood(pieces, node, node[touch["inner"]], region_tol(ann))
-    _, far = radial_interval(pieces[reached[node]], ann.center.x, ann.center.y)
+    reached = _flood(pieces, seeds, region_tol(ann))
+    _, far = radial_interval(pieces[reached], ann.center.x, ann.center.y)
     return float(far.max())
+
+
+def arm_target(ann: Annulus) -> float:
+    """The reach from the inner circle that makes the arm event of ``ann``:
+    its outer radius, less its tolerance."""
+    return ann.outer - region_tol(ann)
 
 
 def arm_event(c: Configuration, ann: Annulus) -> bool:
     """True iff a cluster of clipped sticks joins the inner and outer circles."""
-    return arm_reach(c, ann) >= ann.outer - region_tol(ann)
+    return arm_reach(c, ann) >= arm_target(ann)
 
 
 def lr1_event(c: Configuration, b: Box, k: float) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class EstimateReport:
         return self.ci95[0] <= other.ci95[1] and other.ci95[0] <= self.ci95[1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "ci95": list(self.ci95),
-            "master_seed": self.master_seed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def from_successes(successes: int, n_trials: int, master_seed: int, params: dict
@@ -132,18 +124,7 @@ class DecayReport:
         return [r.estimate for r in self.rows]
 
     def to_json_dict(self) -> dict:
-        return {
-            "indices": self.indices,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "eta_hat": self.eta_hat,
-            "q_hat": self.q_hat,
-            "used_indices": self.used_indices,
-            "master_seed": self.master_seed,
-            "params": self.params,
-        }
+        return {**asdict(self), "eta_hat": self.eta_hat, "q_hat": self.q_hat}
 
     def to_csv(self) -> str:
         lines = ["m,n_trials,successes,estimate,stderr,ci_lo,ci_hi"]

@@ -316,6 +316,31 @@ def test_output_is_standard_json(name, capsys):
         strict_json(line)
 
 
+ESTIMATE_KEYS = {"ci95", "estimate", "master_seed", "n_trials", "params", "std_error",
+                 "successes"}
+
+# the keys of each report's result; the three checks leave out their trial
+# count, seed and parameters, which the echoed config carries
+RESULT_KEYS = {
+    "est-corr": {"bound", "cov_estimate", "degenerate", "p1", "p2", "std_error"},
+    "verify-pc": {"empirical_mean", "oracle", "std_error", "z_score"},
+    "inv-dom": {"diff_means", "diff_std_errors", "dominated", "mean_iid_sums",
+                "mean_invasion_sums", "t_values", "truncated_records"},
+    "est-arm": ESTIMATE_KEYS,
+    "est-h1": {"eta_hat", "indices", "intercept", "master_seed", "params", "q_hat",
+               "r_squared", "rows", "slope", "used_indices"},
+}
+
+
+@pytest.mark.parametrize("name", list(RESULT_KEYS))
+def test_result_keys(name, capsys):
+    assert run(ECHOES[name][0]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert set(result) == RESULT_KEYS[name]
+    for row in result.get("rows", []):
+        assert set(row) == ESTIMATE_KEYS
+
+
 def test_readme_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("```bash\n", 1)[1].split("```", 1)[0]

@@ -5,6 +5,7 @@ import pytest
 
 from sticksoup.events import (
     _clip_to_region,
+    _flood,
     _piece_clusters,
     arm_event,
     arm_reach,
@@ -224,22 +225,22 @@ class TestArmEvent:
 
 def labelled_reach(c, ann):
     """arm_reach by full labelling: every cluster of the clipped pieces, then
-    the largest piece dmax over the clusters touching the inner circle."""
-    if c.n_sticks == 0:
-        return -math.inf
+    the largest piece dmax over the clusters touching the inner circle.
+
+    Returns (reach, pieces, touch, reached): the reach, the pieces of the
+    sticks meeting the annulus with their boundary flags, and per piece
+    whether its cluster touches the inner circle.
+    """
     cx, cy = ann.center.x, ann.center.y
     segs = c.segments()
     dmin, dmax = radial_interval(segs, cx, cy)
     cand = (dmin <= ann.outer) & (dmax >= ann.inner)
-    if not np.any(cand):
-        return -math.inf
     pieces, touch, _, node, labels = _piece_clusters(segs[cand], ann)
     inner = np.zeros(len(labels), dtype=bool)
     inner[labels[node[touch["inner"]]]] = True
     reached = inner[labels[node]]
-    if not np.any(reached):
-        return -math.inf
-    return float(radial_interval(pieces[reached], cx, cy)[1].max())
+    reach = radial_interval(pieces[reached], cx, cy)[1].max() if np.any(reached) else -math.inf
+    return float(reach), pieces, touch, reached
 
 
 class TestArmReachFlood:
@@ -247,8 +248,13 @@ class TestArmReachFlood:
 
     @staticmethod
     def check(c, ann):
-        got, want = arm_reach(c, ann), labelled_reach(c, ann)
+        got = arm_reach(c, ann)
+        want, pieces, touch, labelled = labelled_reach(c, ann)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # piece by piece, the flood reaches the labelled clusters' pieces
+        seeds = np.flatnonzero(touch["inner"])
+        if seeds.size:
+            assert np.array_equal(_flood(pieces, seeds, region_tol(ann)), labelled)
         return got
 
     def test_hand_built(self):
@@ -262,6 +268,22 @@ class TestArmReachFlood:
         chain = [[1.25, 0.0, 0.5, 0.0], [1.75, 0.0, 0.5, math.pi / 2],
                  [2.4, 0.3, 0.65, 0.0], [3.5, 1.5, 0.3, 0.0]]
         assert self.check(cfg_from(chain), ann) == math.hypot(3.05, 0.3)
+        # a stick crossing the hole, clipped to two pieces, and a chain out to
+        # radius 3.5 that touches the inner circle only through one of them:
+        # the right half (the split's second piece), then the left (its first)
+        split = [0.0, 0.0, 1.5, 0.0]
+        assert len(_clip_to_region(cfg_from([split]).segments(), ann)[0]) == 2
+        right = [[1.25, 0.0, 0.5, math.pi / 2], [2.25, 0.3, 1.25, 0.0]]
+        for side in (1.0, -1.0):
+            chain = [[side * x, y, r, v] for x, y, r, v in right]
+            assert self.check(cfg_from(chain), ann) == -math.inf
+            assert self.check(cfg_from([split] + chain), ann) == math.hypot(3.5, 0.3)
+        # a stick from (-0.5, 0), inside the hole, to (1.5, 0): one piece,
+        # from the inner circle on, that the right chain extends
+        tip = [0.5, 0.0, 1.0, 0.0]
+        assert len(_clip_to_region(cfg_from([tip]).segments(), ann)[0]) == 1
+        assert self.check(cfg_from([tip]), ann) == 1.5
+        assert self.check(cfg_from([tip] + right), ann) == math.hypot(3.5, 0.3)
 
     # (m, r_min, soups) per u: r_min = 0.3 keeps A(1, 2) under 200 pieces,
     # where the grid is one cell; u = 1 at m = 4 is some 3e5 sticks a soup
