@@ -315,8 +315,6 @@ class LocalEvent:
 
 def hits_disk_event(l: float) -> LocalEvent:
     def fn(c: Configuration) -> bool:
-        if c.n_sticks == 0:
-            return False
         dmin, _ = radial_interval(c.segments(), 0.0, 0.0)
         return bool(np.any(dmin <= l))
 
@@ -325,8 +323,6 @@ def hits_disk_event(l: float) -> LocalEvent:
 
 def crosses_circle_event(l: float) -> LocalEvent:
     def fn(c: Configuration) -> bool:
-        if c.n_sticks == 0:
-            return False
         dmin, dmax = radial_interval(c.segments(), 0.0, 0.0)
         return bool(np.any((dmin <= l) & (dmax >= l)))
 
@@ -463,9 +459,9 @@ def property_void_scan(
     balls: Sequence[tuple],
     n_trials: int,
     master_seed: int,
-    box: Box | None = None,
 ) -> DecayReport:
-    """P(the interface suffix meets the first n balls), n = 1..len(balls).
+    """P(the interface suffix in the unit box [0, 1]^2 meets the first n
+    balls), n = 1..len(balls).
 
     Prefix events are nested per trial, so the estimates are nonincreasing by
     construction; the geometric factor per ball is the report's ``q_hat``.
@@ -477,8 +473,7 @@ def property_void_scan(
     validate_separated(balls)
     if not balls:
         raise ValueError("need at least one ball")
-    if box is None:
-        box = Box(Point(0.0, 0.0), Point(1.0, 1.0))
+    box = Box(Point(0.0, 0.0), Point(1.0, 1.0))
     window = DiskWindow(box.center(), box.diagonal() / 2.0)
 
     def evaluate(cfg):

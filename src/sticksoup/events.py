@@ -9,6 +9,7 @@ sample) are exact trial by trial.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .geometry import (
     batch_pair_intersections,
     box_sides,
     candidate_pairs,
+    clip_pieces,
     components,
     line_circle_roots,
     radial_interval,
@@ -39,9 +41,10 @@ from .soup import Configuration
 class ClusterPartition:
     """Connected components of clipped sticks inside a region.
 
-    ``stick_indices`` are the input indices whose clip was nonempty; ``labels``
-    assigns each of them a cluster id in [0, n_clusters); ``touches`` maps a
-    cluster id to the set of region-boundary pieces its sticks reach.
+    ``stick_indices`` are the input indices whose clip was nonempty, in
+    ascending order; ``labels`` assigns each of them a cluster id in
+    [0, n_clusters); ``touches`` maps a cluster id to the set of
+    region-boundary pieces its sticks reach.
     """
 
     stick_indices: list[int]
@@ -50,9 +53,8 @@ class ClusterPartition:
     touches: dict[int, frozenset[str]]
 
     def cluster_of(self, stick_index: int) -> int | None:
-        try:
-            pos = self.stick_indices.index(stick_index)
-        except ValueError:
+        pos = bisect_left(self.stick_indices, stick_index)
+        if pos == len(self.stick_indices) or self.stick_indices[pos] != stick_index:
             return None
         return int(self.labels[pos])
 
@@ -79,22 +81,22 @@ def _clip_to_region(segs: np.ndarray, region):
 
     cx, cy = region.center.x, region.center.y
     t0, t1 = _segment_disk_params(segs, cx, cy, region.outer)
-    outer, owners = _materialize(segs, np.arange(len(segs)), t0, t1, tol)
+    keep, outer = clip_pieces(segs, t0, t1, tol)
+    owners = np.flatnonzero(keep)
     # each outer piece splits at the open inner disk into the part before it,
     # [0, h0], and the part after it, [h1, 1]; a piece missing the hole keeps
     # all of itself in the first and no second, so only the pieces meeting
     # the hole get one
     h0, h1 = _segment_disk_params(outer, cx, cy, region.inner)
     hole = h1 > h0
-    pieces, owners = _materialize(
+    keep, pieces = clip_pieces(
         np.vstack([outer, outer[hole]]),
-        np.concatenate([owners, owners[hole]]),
         np.concatenate([np.zeros(len(outer)), h1[hole]]),
         np.concatenate([np.where(hole, h0, 1.0), np.ones(np.count_nonzero(hole))]),
         tol,
     )
     dmin, dmax = radial_interval(pieces, cx, cy)
-    return pieces, owners, {
+    return pieces, np.concatenate([owners, owners[hole]])[keep], {
         "inner": dmin <= region.inner + tol,
         "outer": dmax >= region.outer - tol,
     }
@@ -112,24 +114,6 @@ def _segment_disk_params(segs: np.ndarray, cx: float, cy: float, rad: float):
     return t0, t1
 
 
-def _materialize(segs, owners, t0, t1, min_len_eps):
-    dx = segs[:, 2] - segs[:, 0]
-    dy = segs[:, 3] - segs[:, 1]
-    seg_len = np.hypot(dx, dy)
-    keep = (t1 - t0) * seg_len > min_len_eps
-    t0, t1 = t0[keep], t1[keep]
-    base = segs[keep]
-    out = np.column_stack(
-        [
-            base[:, 0] + t0 * (base[:, 2] - base[:, 0]),
-            base[:, 1] + t0 * (base[:, 3] - base[:, 1]),
-            base[:, 0] + t1 * (base[:, 2] - base[:, 0]),
-            base[:, 1] + t1 * (base[:, 3] - base[:, 1]),
-        ]
-    )
-    return out, owners[keep]
-
-
 def _piece_clusters(segs: np.ndarray, region):
     """Clip segments to the region and cluster them; the pieces of one segment
     form one node.
@@ -142,15 +126,10 @@ def _piece_clusters(segs: np.ndarray, region):
     pieces, owners, touch = _clip_to_region(segs, region)
     kept = _sorted_unique(owners)
     node = np.searchsorted(kept, owners)
-    ri = rj = np.empty(0, dtype=np.int64)
-    if len(pieces) > 1:
-        tol = region_tol(region)
-        I, J = candidate_pairs(pieces, tol)
-        if len(I):
-            hits, _, _, _ = batch_pair_intersections(pieces, I, J, tol)
-            ri = node[I[hits]]
-            rj = node[J[hits]]
-    _, labels = components(len(kept), ri, rj)
+    tol = region_tol(region)
+    I, J = candidate_pairs(pieces, tol)
+    hits, _, _, _ = batch_pair_intersections(pieces, I, J, tol)
+    _, labels = components(len(kept), node[I[hits]], node[J[hits]])
     return pieces, touch, kept, node, labels
 
 
@@ -204,9 +183,7 @@ def covered_components(
     inner-outer connection.
     """
     _, touch, kept, node, labels = _piece_clusters(sticks_to_segments(sticks), region)
-    if len(kept) == 0:
-        return ClusterPartition([], np.empty(0, dtype=int), 0, {})
-    n_clusters = int(labels.max()) + 1
+    n_clusters = int(labels.max(initial=-1)) + 1
     # one bit per boundary piece in each cluster's code, then one shared
     # frozenset per distinct code
     names = list(touch)
@@ -237,11 +214,9 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     never labelled.
     """
     c.window.require_contains(ann.center, ann.outer)
-    if c.n_sticks == 0:
-        return -math.inf
     pieces, _, touch = _clip_to_region(c.segments(), ann)
     seeds = np.flatnonzero(touch["inner"])
-    if not seeds.size:
+    if not seeds.size:  # no arm; return before building the grid
         return -math.inf
     reached = _flood(pieces, seeds, region_tol(ann))
     _, far = radial_interval(pieces[reached], ann.center.x, ann.center.y)
@@ -269,8 +244,6 @@ def lr1_event(c: Configuration, b: Box, k: float) -> bool:
         )
     corner_r = math.hypot(b.width(), b.height()) / 2.0
     c.window.require_contains(b.center(), corner_r)
-    if c.n_sticks == 0:
-        return False
     segs = c.segments()
     return bool(np.any(_hits_vertical(segs, b.min.x, b.min.y, b.max.y)
                        & _hits_vertical(segs, b.max.x, b.min.y, b.max.y)))
@@ -281,8 +254,6 @@ def double_intersection_count(c: Configuration, circle_radius: float) -> int:
     if not (circle_radius > 0):
         raise ValueError("circle radius must be positive")
     c.window.require_contains(c.window.center, circle_radius)
-    if c.n_sticks == 0:
-        return 0
     return int(np.count_nonzero(double_circle_crossers(
         c.stick_data, c.window.center.x, c.window.center.y, circle_radius)))
 
@@ -323,31 +294,39 @@ class InvasionRecord:
             raise ValueError("invasion gaps must be at least 1")
 
 
+def _annulus_index(x):
+    """The least integer n with x <= 2^n, for x > 0: the index of the dyadic
+    annulus A_n whose outer circle bounds radius x.
+
+    It is exact, read off the binary exponent: np.frexp writes x = m 2^e
+    with 1/2 <= m < 1, so n = e, or e - 1 when x = 2^(e-1) is a power of two.
+    """
+    m, e = np.frexp(x)
+    return e - (m == 0.5)
+
+
 def _annulus_floor_index(r_min: float) -> int:
-    return math.ceil(math.log2(r_min)) + 2
+    return int(_annulus_index(r_min)) + 2
 
 
 def _lowest_annulus_indices(segs: np.ndarray, cx: float, cy: float):
-    """Per stick: (dmin, dmax, lowest annulus index its segment touches)."""
+    """Per stick: (dmin, dmax, lowest annulus index its segment touches).
+
+    A segment through the centre (dmin = 0) gets the index of 1e-300, -996.
+    """
     dmin, dmax = radial_interval(segs, cx, cy)
-    safe = np.maximum(dmin, 1e-300)
-    lo = np.ceil(np.log2(safe))
-    # guard the exact-power and rounding edges of the log
-    lo = np.where(2.0 ** (lo - 1) >= safe, lo - 1, lo)
-    lo = np.where(2.0 ** lo < safe, lo + 1, lo)
-    return dmin, dmax, lo
-
-
-def _touching_annulus(dmin, dmax, n: int):
-    return (dmin <= 2.0 ** n) & (dmax > 2.0 ** (n - 1))
+    return dmin, dmax, _annulus_index(np.maximum(dmin, 1e-300))
 
 
 def _descend_once(dmin, dmax, lo, j: int) -> int:
-    """D_j: largest n < j such that no stick touching A_j also touches A_n."""
-    mask = _touching_annulus(dmin, dmax, j)
-    if not np.any(mask):
-        return j - 1
-    return int(np.min(lo[mask])) - 1
+    """D_j: largest n < j such that no stick touching A_j also touches A_n.
+
+    That is one less than the lowest index ``lo`` of the sticks touching
+    A_j, and D_j = j - 1 when no stick touches A_j: a stick touching A_j has
+    lo <= j, so the minimum's ``initial=j`` only answers that case.
+    """
+    mask = (dmin <= 2.0 ** j) & (dmax > 2.0 ** (j - 1))
+    return int(np.min(lo[mask], initial=j)) - 1
 
 
 def invasion_sequence(c: Configuration, m: int) -> InvasionRecord:

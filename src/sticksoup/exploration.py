@@ -375,8 +375,6 @@ def count_traversals(
     of the path, or still open at its end, is not.  Arms are in path order.
     """
     coords = p.coords
-    if len(coords) < 2:
-        return 0, []
     cx, cy = ann.center.x, ann.center.y
     ev_inner = _circle_edge_events(coords, cx, cy, ann.inner)
     ev_outer = _circle_edge_events(coords, cx, cy, ann.outer)
@@ -430,8 +428,6 @@ def polyline_crosses_segment(p: Polyline, s: Segment) -> bool:
     sides of the supporting line.
     """
     coords = p.coords
-    if len(coords) < 2:
-        return False
     zx, zy = s.a.x, s.a.y
     dx, dy = s.b.x - zx, s.b.y - zy
     L2 = dx * dx + dy * dy
@@ -496,7 +492,8 @@ def box_dimension(p: Polyline, scales: Sequence[float]) -> float:
 
 
 def _edges(coords: np.ndarray) -> np.ndarray:
-    """A polyline's edges as (n, 4) segments; one point edge for one vertex."""
+    """A polyline's edges as (n, 4) segments; one point edge for one vertex,
+    so that a one-point path still meets the balls that contain it."""
     if len(coords) == 1:
         return np.hstack([coords, coords])
     return np.hstack([coords[:-1], coords[1:]])

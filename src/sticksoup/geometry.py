@@ -162,8 +162,6 @@ class Polyline:
         return [Point(float(x), float(y)) for x, y in self.coords]
 
     def length(self) -> float:
-        if len(self.coords) < 2:
-            return 0.0
         return float(np.sum(np.hypot(*np.diff(self.coords, axis=0).T)))
 
     def __len__(self) -> int:
@@ -395,15 +393,15 @@ def _hits_vertical(segs: np.ndarray, x: float, y0: float, y1: float):
 def batch_clip_to_box(segs: np.ndarray, b: Box):
     """Vectorized Liang-Barsky clip.
 
-    Returns (keep_mask, clipped (m, 4) array) where m = keep_mask.sum(); order
-    of the kept rows follows the input order.
+    Returns (keep_mask, clipped (m, 4) array) as from clip_pieces: m =
+    keep_mask.sum(), and the kept rows follow the input order.  A segment
+    parallel to a side and outside it gets t1 = 0, an empty interval.
     """
     ax, ay = segs[:, 0], segs[:, 1]
     dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
     eps_len = region_tol(b)
     t0 = np.zeros(len(segs))
     t1 = np.ones(len(segs))
-    keep = np.ones(len(segs), dtype=bool)
     for p, q in (
         (-dx, ax - b.min.x),
         (dx, b.max.x - ax),
@@ -411,15 +409,28 @@ def batch_clip_to_box(segs: np.ndarray, b: Box):
         (dy, b.max.y - ay),
     ):
         par = p == 0.0
-        keep &= ~(par & (q < -eps_len))
+        t1[par & (q < -eps_len)] = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(par, 0.0, q / np.where(par, 1.0, p))
         neg = (~par) & (p < 0)
         pos = (~par) & (p > 0)
         t0 = np.where(neg, np.maximum(t0, r), t0)
         t1 = np.where(pos, np.minimum(t1, r), t1)
-    seg_len = np.hypot(dx, dy)
-    keep &= (t1 - t0) * seg_len > eps_len
+    return clip_pieces(segs, t0, t1, eps_len)
+
+
+def clip_pieces(segs: np.ndarray, t0: np.ndarray, t1: np.ndarray, eps: float):
+    """The piece of each segment over its parameter interval [t0, t1].
+
+    Returns (keep, pieces): ``keep`` marks the rows whose piece is longer
+    than ``eps`` (so also t1 > t0), and ``pieces`` holds those pieces as an
+    (m, 4) array in row order.  The columns are computed over all rows and
+    gathered once, which is cheaper than gathering the rows first when most
+    of them are kept.
+    """
+    ax, ay = segs[:, 0], segs[:, 1]
+    dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
+    keep = (t1 - t0) * np.hypot(dx, dy) > eps
     out = np.column_stack(
         [ax + t0 * dx, ay + t0 * dy, ax + t1 * dx, ay + t1 * dy]
     )[keep]
@@ -434,7 +445,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     broad phase.
     """
     s = np.sort(keys)
-    if s.size == 0:
+    if s.size == 0:  # the mask below needs a first element
         return s
     return s[np.r_[True, s[1:] != s[:-1]]]
 
@@ -460,11 +471,8 @@ def _lexsort2(minor: np.ndarray, major: np.ndarray) -> np.ndarray:
 
 def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     """[0..l0), [0..l1), ... concatenated (standard grouped-arange recipe)."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
 def _cell_table(segs: np.ndarray, eps: float):
@@ -536,8 +544,6 @@ def candidate_pairs(segs: np.ndarray, eps: float):
     ``eps`` of both segments.
     """
     n = len(segs)
-    if n < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     _, _, key = _cell_table(segs, eps)
     k = key // n
     v = key - k * n
@@ -561,9 +567,6 @@ def batch_pair_intersections(segs: np.ndarray, I: np.ndarray, J: np.ndarray,
     one point, ``overlap`` the collinear positive-length sharings (for which
     px, py hold a point of the shared part).
     """
-    if len(I) == 0:
-        z = np.empty(0)
-        return np.empty(0, dtype=bool), z, z, np.empty(0, dtype=bool)
     ax, ay = segs[I, 0], segs[I, 1]
     rx, ry = segs[I, 2] - ax, segs[I, 3] - ay
     qx, qy = segs[J, 0], segs[J, 1]
@@ -638,4 +641,5 @@ def components(n: int, i: np.ndarray, j: np.ndarray):
             parent = up
     root = parent == np.arange(n)
     rank = np.cumsum(root, dtype=np.int32) - 1
+    # rank[-1] needs a node; an empty graph has no components
     return int(rank[-1]) + 1 if n else 0, rank[parent]

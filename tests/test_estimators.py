@@ -27,7 +27,7 @@ from sticksoup.exploration import DegeneracyError, build_arrangement, trace_expl
 from sticksoup.geometry import Annulus, Box, Point
 from sticksoup.reports import FitError, from_successes, wilson_interval
 from sticksoup.seeds import derive_seed
-from sticksoup.soup import DiskWindow, SoupParams
+from sticksoup.soup import Configuration, DiskWindow, SoupParams
 
 ORIGIN = Point(0.0, 0.0)
 
@@ -280,6 +280,12 @@ class TestCorrelation:
         rep = correlation_estimate(always, always, params, 0.5, 50, 1)
         assert rep.degenerate and rep.cov_estimate == 0.0
 
+    @pytest.mark.parametrize("make", [hits_disk_event, crosses_circle_event])
+    def test_events_on_an_empty_configuration(self, make):
+        empty = Configuration(SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 2.0), 0.5, 0,
+                              np.empty((0, 4)))
+        assert make(1.0).fn(empty) is False
+
     def test_bound_attached(self):
         params = SoupParams(1.0, 2.0)
         rep = correlation_estimate(
@@ -353,6 +359,37 @@ class TestYGapSamples:
         b = y_gap_samples(params, 0, 0.125, 200, 3)
         assert np.array_equal(a, b)
         assert np.all(a >= 1)
+
+    @staticmethod
+    def gap_measure(a, b):
+        """Measure at alpha = 2 of the sticks meeting B(a) and leaving B(b),
+        a < b, in closed form from line coordinates (on the line at offset p
+        the centres fill a length of 4R - 2(c_b - c_a) from R = (c_b - c_a)/2
+        to c_b, then 2R + 2 c_a, with c_r = sqrt(r^2 - p^2))."""
+        s = math.asin(a / b)
+        return (8 * (a * math.sqrt(b * b - a * a) + b * b * s + math.pi * a * a / 2)
+                / (b * b - a * a) - 4 * s)
+
+    def test_gap_measure_values(self):
+        got = [self.gap_measure(2.0 ** (1 - n), 0.5) for n in range(3, 9)]
+        want = [12.298, 4.0488, 1.7246, 0.80238, 0.38767, 0.19062]
+        assert got == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("u", [1.0, 0.25])
+    def test_tail_matches_exact_law(self, u):
+        # gap >= n iff a stick touching A_0 = (1/2, 1] comes within 2^(1-n)
+        # of the centre; every such stick has R >= 1/8 for n >= 3, so the
+        # truncation at r_min = 1/8 loses none of them
+        from scipy.stats import binomtest
+
+        n_samples = 15_000
+        gaps = y_gap_samples(SoupParams(u, 2.0), 0, 0.125, n_samples, 2026)
+        rows = range(3, 9)
+        for n in rows:
+            p = -math.expm1(-u * self.gap_measure(2.0 ** (1 - n), 0.5))
+            k = int(np.count_nonzero(gaps >= n))
+            # one exact test per row, Bonferroni-split at family level 1e-3
+            assert binomtest(k, n_samples, p).pvalue > 1e-3 / len(rows), (n, k, p)
 
 
 def degenerate_on_a_fifth(fn):

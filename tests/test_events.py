@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sticksoup.events import (
+    _annulus_floor_index,
     _clip_to_region,
     _flood,
+    _lowest_annulus_indices,
     _piece_clusters,
     arm_event,
     arm_reach,
@@ -69,6 +71,34 @@ class TestCoveredComponents:
     def test_empty_partition(self):
         part = covered_components([], self.BOX)
         assert part.n_clusters == 0 and part.stick_indices == []
+
+    @pytest.mark.parametrize("region", [BOX, Annulus(Point(0, 0), 1.0, 2.0)])
+    def test_empty_partition_has_the_kernel_label_dtype(self, region):
+        # an empty partition comes out of the general path: its labels have
+        # the int32 dtype of every other partition's
+        for sticks in ([], np.empty((0, 4)), [Stick(Point(5.0, 5.0), 0.1, 0.0)]):
+            part = covered_components(sticks, region)
+            assert (part.n_clusters, part.stick_indices, part.touches) == (0, [], {})
+            assert part.labels.shape == (0,) and part.labels.dtype == np.int32
+        one = covered_components([Stick(Point(0.5, 0.5), 0.1, 0.0)], self.BOX)
+        assert one.labels.dtype == np.int32
+
+    def test_cluster_of_seeded_partition(self):
+        rng = np.random.default_rng(derive_seed(19, 0))
+        n = 400
+        data = np.column_stack([
+            rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n),
+            rng.uniform(0.05, 0.6, n), rng.uniform(-math.pi / 2, math.pi / 2, n),
+        ])
+        part = covered_components(data, Annulus(Point(0, 0), 1.0, 2.0))
+        kept = set(part.stick_indices)
+        # some dropped sticks lie between kept ones
+        idx = part.stick_indices
+        assert any(b - a > 1 for a, b in zip(idx, idx[1:]))
+        for pos, i in enumerate(part.stick_indices):
+            assert part.cluster_of(i) == int(part.labels[pos])
+        for i in [-1, n, n + 7, *sorted(set(range(n)) - kept)]:
+            assert part.cluster_of(i) is None
 
     def test_boundary_touch_flags(self):
         sticks = [Stick(Point(0.5, 0.5), 0.7, math.pi / 2)]  # spans bottom to top
@@ -173,6 +203,8 @@ class TestArmEvent:
 
     def test_empty_configuration(self):
         assert not arm_event(cfg_from([]), self.ANN)
+        reach = arm_reach(cfg_from([]), self.ANN)
+        assert reach == -math.inf and type(reach) is float
 
     def test_chain_of_two(self):
         # each stick spans about half the gap; they cross near radius 1.41
@@ -318,7 +350,7 @@ class TestLr1Event:
         assert lr1_event(c, self.BOX, 2.0)
 
     def test_empty(self):
-        assert not lr1_event(cfg_from([]), self.BOX, 2.0)
+        assert lr1_event(cfg_from([]), self.BOX, 2.0) is False
 
     def test_touching_one_side_only(self):
         c = cfg_from([[0.1, 0.5, 0.3, 0.0]])
@@ -354,7 +386,8 @@ class TestDoubleIntersection:
         assert double_intersection_count(c, 1.0) == 0
 
     def test_empty_zero(self):
-        assert double_intersection_count(cfg_from([], window_radius=2.0), 1.0) == 0
+        count = double_intersection_count(cfg_from([], window_radius=2.0), 1.0)
+        assert count == 0 and type(count) is int
 
     def test_stick_through_disk_counts(self):
         c = cfg_from([[0.0, 0.2, 3.0, 0.0]], window_radius=2.0)
@@ -453,6 +486,13 @@ class TestYStatistic:
         c = cfg_from([], window_radius=1.0, r_min=0.125)
         assert y_statistic(c, 0) == 1
 
+    def test_no_stick_touching_the_annulus_is_one(self):
+        # one stick inside B(1/4), one outside B(1): neither touches A_0
+        c = cfg_from([[0.1, 0.0, 0.05, 0.3], [3.0, 0.0, 0.5, 1.0]],
+                     window_radius=4.0, r_min=0.125)
+        y = y_statistic(c, 0)
+        assert y == 1 and type(y) is int
+
     def test_one_linking_stick_gives_two(self):
         # touches A_0 = (1/2, 1] and A_-1 = (1/4, 1/2] only
         c = cfg_from([[0.55, 0.0, 0.2, 0.01]], window_radius=1.0, r_min=0.125)
@@ -464,3 +504,44 @@ class TestYStatistic:
             cfg = sample_configuration(PARAMS, window, 0.3, 400 + i)
             rec = invasion_sequence(cfg, 5)
             assert y_statistic(cfg, 5) == rec.L[0]
+
+
+class TestDyadicIndex:
+    """The lowest annulus index is the least n with d <= 2^n, exactly."""
+
+    @staticmethod
+    def least_power_index(d):
+        n = math.floor(math.log2(d)) - 1
+        while 2.0 ** n < d:
+            n += 1
+        return n
+
+    def test_lowest_indices_at_and_around_powers_of_two(self):
+        powers = 2.0 ** np.arange(-30, 30)
+        d = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        segs = np.column_stack([d, np.zeros_like(d), d, np.ones_like(d)])
+        dmin, _, lo = _lowest_annulus_indices(segs, 0.0, 0.0)
+        assert np.array_equal(dmin, d)
+        assert lo.tolist() == [self.least_power_index(x) for x in d.tolist()]
+
+    def test_centre_stick_index(self):
+        _, _, lo = _lowest_annulus_indices(np.array([[-1.0, 0.0, 1.0, 0.0]]), 0.0, 0.0)
+        assert lo.tolist() == [-996]
+
+    @pytest.mark.parametrize("k", [-20, -10, -5, 5, 30])
+    def test_floor_just_above_a_power_of_two(self, k):
+        # r_min = 2^k (1 + ulp) lies in A_(k+1); the floor is two above it
+        assert _annulus_floor_index(float(np.nextafter(2.0 ** k, np.inf))) == k + 3
+
+    @pytest.mark.parametrize("k", [-20, -5, 0, 5])
+    def test_floor_at_a_power_of_two(self, k):
+        assert _annulus_floor_index(2.0 ** k) == k + 2
+
+    def test_invasion_truncated_below_the_exact_floor(self):
+        # one stick from (0.2, 0) to (1.5, 0): it touches A_1 and reaches
+        # A_-2, so D_1 = -3, below the floor -2 of r_min just above 2^-5
+        r_min = float(np.nextafter(2.0 ** -5, np.inf))
+        c = cfg_from([[0.85, 0.0, 0.65, 0.0]], window_radius=2.0, r_min=r_min)
+        rec = invasion_sequence(c, 1)
+        assert rec.I == [1, -3] and rec.L == [4] and rec.T == 0
+        assert rec.truncated

@@ -568,6 +568,11 @@ class TestCountTraversals:
         assert k == 2
         assert sorted(a.direction for a in arms) == ["Entering", "Exiting"]
 
+    @pytest.mark.parametrize("vertex", [(0.0, 0.0), (1.5, 0.0), (1.0, 0.0), (3.0, 0.0)])
+    def test_one_vertex_path(self, vertex):
+        assert count_traversals(Polyline([vertex]), self.ANN) == (0, [])
+        assert count_traversals(Polyline([vertex]), self.ANN, [3]) == (0, [])
+
     def test_outside_zero(self):
         p = Polyline([Point(2.5, 2.5), Point(3, 3)])
         assert count_traversals(p, self.ANN)[0] == 0
@@ -640,6 +645,10 @@ class TestPolylineCrossesSegment:
 
     def test_transversal_x(self):
         assert polyline_crosses_segment(Polyline([Point(0, -1), Point(0, 1)]), self.SEG)
+
+    @pytest.mark.parametrize("vertex", [(0.0, 0.0), (0.0, 1.0), (5.0, 0.0)])
+    def test_one_vertex_path(self, vertex):
+        assert polyline_crosses_segment(Polyline([vertex]), self.SEG) is False
 
     def test_v_touch_same_side(self):
         p = Polyline([Point(-0.5, 1), Point(0, 0), Point(0.5, 1)])

@@ -23,6 +23,7 @@ from sticksoup.geometry import (
     batch_clip_to_box,
     batch_pair_intersections,
     candidate_pairs,
+    clip_pieces,
     clip_segment_to_box,
     components,
     point_segment_distance,
@@ -218,6 +219,68 @@ class TestClip:
             assert point_segment_distance(p, s) <= tol * max(
                 1.0, abs(x1), abs(y1), abs(x2), abs(y2)
             )
+
+
+class TestClipPieces:
+    """The one builder of clipped pieces, behind the box clip and both
+    annulus stages."""
+
+    SEGS = np.array([[0.0, 0.0, 2.0, 0.0], [1.0, 1.0, 1.0, 3.0], [0.0, 0.0, 1.0, 1.0]])
+
+    def test_pieces_and_keep(self):
+        keep, pieces = clip_pieces(
+            self.SEGS, np.array([0.25, 0.5, 0.3]), np.array([0.75, 0.5, 0.2]), 1e-9
+        )
+        # an empty interval and a reversed one give no piece
+        assert keep.tolist() == [True, False, False]
+        assert pieces.tolist() == [[0.5, 0.0, 1.5, 0.0]]
+
+    def test_drops_pieces_no_longer_than_eps(self):
+        t0 = np.zeros(3)
+        t1 = np.full(3, 0.25)  # piece lengths 0.5, 0.5 and 0.354
+        keep, pieces = clip_pieces(self.SEGS, t0, t1, 0.5)
+        assert not keep.any() and pieces.shape == (0, 4)
+        keep, _ = clip_pieces(self.SEGS, t0, t1, 0.4)
+        assert keep.tolist() == [True, True, False]
+
+    def test_box_clip_drops_parallel_outside(self):
+        # parallel to a side and outside it, but long enough inside the
+        # other axis' slab: the t1 = 0 of that side drops it
+        segs = np.array([[-0.5, 2.0, 1.5, 2.0], [2.0, -0.5, 2.0, 1.5],
+                         [-0.5, 0.5, 1.5, 0.5], [0.5, -1e-12, 0.5, 2.0]])
+        keep, out = batch_clip_to_box(segs, Box(Point(0, 0), Point(1, 1)))
+        assert keep.tolist() == [False, False, True, True]
+        assert out.tolist() == [[0.0, 0.5, 1.0, 0.5], [0.5, 0.0, 0.5, 1.0]]
+
+
+class TestEmptyInputs:
+    """The general kernels on empty input, with the values and dtypes of
+    their former early returns."""
+
+    E = np.empty(0, dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_candidate_pairs(self, n):
+        segs = np.array([[0.0, 0.0, 1.0, 1.0]])[:n]
+        I, J = candidate_pairs(segs, 1e-9)
+        for a in (I, J):
+            assert a.shape == (0,) and a.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_batch_pair_intersections(self, n):
+        segs = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]])[:n]
+        hits, px, py, overlap = batch_pair_intersections(segs, self.E, self.E, 1e-9)
+        for a, dtype in ((hits, bool), (px, float), (py, float), (overlap, bool)):
+            assert a.shape == (0,) and a.dtype == dtype
+
+    @pytest.mark.parametrize("lengths", [[], [0, 0, 0]])
+    def test_concat_ranges(self, lengths):
+        out = _concat_ranges(np.array(lengths, dtype=np.int64))
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_one_vertex_polyline_length(self):
+        length = Polyline([(0.5, 0.5)]).length()
+        assert length == 0.0 and type(length) is float
 
 
 class TestCandidatePairsGrid:

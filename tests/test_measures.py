@@ -172,6 +172,34 @@ class TestLr1Measure:
             1 - math.exp(-2.0 * rep.params["mu_hat"])
         )
 
+    @staticmethod
+    def exact_lr1(alpha, k, l):
+        """Measure of single sticks meeting both vertical sides of the kl x l
+        box, from line coordinates: a line at angle v crosses both sides in
+        an offset band of width (l - kl |tan v|) cos v, the centres whose
+        stick covers its chord c = kl / cos v fill a length (2R - c)+, and
+        the R-integral of that is (2 / (alpha - 1)) (c / 2)^(1 - alpha)."""
+        def f(v):
+            band = (l - k * l * abs(math.tan(v))) * math.cos(v)
+            return band * (2 / (alpha - 1)) * (k * l / (2 * math.cos(v))) ** (1 - alpha)
+
+        a = math.atan(1 / k)
+        return integrate.quad(f, -a, a, epsabs=0, epsrel=1e-12)[0] / math.pi
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0])
+    def test_exact_law_closed_form_at_alpha_two(self, k):
+        # at alpha = 2 the integral is 4 atan(1/k) / (pi k), whatever l is
+        for l in (0.5, 2.0):
+            closed = 4 * math.atan(1 / k) / (math.pi * k)
+            assert self.exact_lr1(2.0, k, l) == pytest.approx(closed, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha, k, l", [(2.0, 1.0, 1.0), (2.0, 3.0, 0.5),
+                                             (2.5, 2.0, 1.0), (1.5, 1.0, 2.0)])
+    def test_matches_exact_law(self, alpha, k, l):
+        rep = lr1_measure(alpha, l, k, 100_000, master_seed=1)
+        z = (rep.params["mu_hat"] - self.exact_lr1(alpha, k, l)) / rep.params["mu_std_error"]
+        assert abs(z) < 4
+
     def test_measure_inside_sandwich_for_fitted_constant(self):
         # the single-stick crossing measure is bracketed, up to one constant
         # c, between (k and k^-alpha) and (k^(2-alpha) or k^-alpha) at alpha=2
