@@ -326,6 +326,16 @@ def point_segment_distance(p: Point, s: Segment) -> float:
 # vectorized kit (private): segments are (n, 4) arrays [x1, y1, x2, y2]
 
 
+def _norm(x, y):
+    """Elementwise Euclidean norm, within one ulp of ``np.hypot``.
+
+    numpy's hypot makes one libm call per element and runs several times
+    slower; the batch kernels only compare their norms with thresholds.  The
+    squares overflow above about 1e154, as the kernels' other products do.
+    """
+    return np.sqrt(x * x + y * y)
+
+
 def sticks_to_segments(sticks: Sequence[Stick] | np.ndarray) -> np.ndarray:
     """(n, 4) endpoint array from Stick objects or an (n, 4) [cx, cy, r, v] array."""
     if isinstance(sticks, np.ndarray):
@@ -353,8 +363,9 @@ def radial_interval(segs: np.ndarray, cx: float, cy: float):
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(dd > 0, -(ax * dx + ay * dy) / dd, 0.0)
     t = np.clip(t, 0.0, 1.0)
-    dmin = np.hypot(ax + t * dx, ay + t * dy)
-    dmax = np.maximum(np.hypot(ax, ay), np.hypot(bx, by))
+    dmin = _norm(ax + t * dx, ay + t * dy)
+    # sqrt is monotone: the root of the larger square is the larger norm
+    dmax = np.sqrt(np.maximum(ax * ax + ay * ay, bx * bx + by * by))
     return dmin, dmax
 
 
@@ -430,7 +441,7 @@ def clip_pieces(segs: np.ndarray, t0: np.ndarray, t1: np.ndarray, eps: float):
     """
     ax, ay = segs[:, 0], segs[:, 1]
     dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
-    keep = (t1 - t0) * np.hypot(dx, dy) > eps
+    keep = (t1 - t0) * _norm(dx, dy) > eps
     out = np.column_stack(
         [ax + t0 * dx, ay + t0 * dy, ax + t1 * dx, ay + t1 * dy]
     )[keep]
@@ -488,7 +499,7 @@ def _cell_table(segs: np.ndarray, eps: float):
     if n <= 200:
         ids = np.arange(n, dtype=np.int64)
         return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), ids
-    lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    lengths = _norm(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
     span = max(
         segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
         segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
@@ -571,8 +582,8 @@ def batch_pair_intersections(segs: np.ndarray, I: np.ndarray, J: np.ndarray,
     rx, ry = segs[I, 2] - ax, segs[I, 3] - ay
     qx, qy = segs[J, 0], segs[J, 1]
     sx, sy = segs[J, 2] - qx, segs[J, 3] - qy
-    len_r = np.hypot(rx, ry)
-    len_s = np.hypot(sx, sy)
+    len_r = _norm(rx, ry)
+    len_s = _norm(sx, sy)
     den = rx * sy - ry * sx
     dqx, dqy = qx - ax, qy - ay
     par = np.abs(den) <= REL_EPS * len_r * len_s

@@ -9,7 +9,7 @@ the window can be drawn exactly, with zero rejections:
   1. N ~ Poisson(u * (pi a^2 r^-alpha + 4 a alpha/(alpha-1) r^(1-alpha)))
   2. R from the density proportional to alpha R^-(1+alpha) (pi a^2 + 4 a R)
      on [r, inf), a two-component mixture of Pareto tails drawn by inversion
-  3. V uniform on (-pi/2, pi/2]
+  3. V uniform on [-pi/2, pi/2)
   4. center uniform in the stadium oriented along V
 """
 
@@ -86,7 +86,9 @@ class Configuration:
 
     @cached_property
     def sticks(self) -> list[Stick]:
-        return [Stick(Point(cx, cy), r, v) for cx, cy, r, v in self.stick_data]
+        # v = -pi/2 is the same unoriented stick as Stick's v = pi/2
+        return [Stick(Point(cx, cy), r, math.pi / 2 if v == -math.pi / 2 else v)
+                for cx, cy, r, v in self.stick_data]
 
     def segments(self) -> np.ndarray:
         """Endpoint array (n, 4) of the stick segments."""

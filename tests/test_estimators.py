@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -22,12 +23,13 @@ from sticksoup.estimators import (
     validate_separated,
     y_gap_samples,
 )
-from sticksoup.events import arm_event
+from sticksoup.events import arm_event, invasion_sequence
 from sticksoup.exploration import DegeneracyError, build_arrangement, trace_exploration
 from sticksoup.geometry import Annulus, Box, Point
+from sticksoup.measures import annulus_crossing_bounds
 from sticksoup.reports import FitError, from_successes, wilson_interval
 from sticksoup.seeds import derive_seed
-from sticksoup.soup import Configuration, DiskWindow, SoupParams
+from sticksoup.soup import Configuration, DiskWindow, SoupParams, sample_configuration
 
 ORIGIN = Point(0.0, 0.0)
 
@@ -392,6 +394,32 @@ class TestYGapSamples:
             assert binomtest(k, n_samples, p).pvalue > 1e-3 / len(rows), (n, k, p)
 
 
+class TestCrossingMeasure:
+    """mu(1, 2^m), the measure of sticks crossing A(1, 2^m), is the gap law's
+    closed form above with (a, b) = (1, 2^m)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_inside_the_annulus_crossing_bounds(self, m):
+        lower, upper = annulus_crossing_bounds(2, 1, 2.0 ** m)
+        assert lower <= TestYGapSamples.gap_measure(1.0, 2.0 ** m) <= upper
+
+    def test_arm_scan_rows_above_one_stick_crossings(self):
+        # one stick crossing A(1, 2^m) makes an arm, so each row is at least
+        # 1 - exp(-u mu(1, 2^m)); a crossing stick has R >= 1/2, so the
+        # truncation at r_min = 1/2 loses none of them
+        from scipy.stats import binomtest
+
+        u, m_max, n_trials = 0.1, 4, 600
+        rep = arm_decay_scan(SoupParams(u, 2.0), 0.5, m_max, n_trials, 2027)
+        bounds = [-math.expm1(-u * TestYGapSamples.gap_measure(1.0, 2.0 ** m))
+                  for m in range(1, m_max + 1)]
+        assert bounds == pytest.approx([0.708, 0.333, 0.158, 0.077], abs=1e-3)
+        for row, p in zip(rep.rows, bounds):
+            # one-sided exact test per row, Bonferroni-split at family level 1e-3
+            test = binomtest(row.successes, n_trials, p, alternative="less")
+            assert test.pvalue > 1e-3 / m_max, (row.successes, p)
+
+
 def degenerate_on_a_fifth(fn):
     """fn, raising DegeneracyError on a fixed fifth of the seeds: pure."""
 
@@ -512,3 +540,60 @@ class TestPooledTrials:
         results, _ = estimators.run_trials(SoupParams(1.0, 2.0), window, 0.5, 4, 2, outer)
         for pid, inner in results:
             assert pid != os.getpid() and inner == {pid}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of the repr of each decision list below, recorded while the batch
+# kernels still took every distance and length from np.hypot: the invasion
+# records (I, L, T, truncated) of 20 soups at the `verify` workload's size,
+# 2k gap draws, the arm scan rows of 10 soups at the `arm` workload's size and
+# 2k Parker-Cowan counts.  A change of norm may move low bits, not decisions.
+GOLDEN_DECISIONS = {
+    "invasion": "514af14979346795598a18ac593945c914af8faecac12fc08de813e41888dba4",
+    "y_gap": "e47c751a9018dd08eff647cb885252f5d822e792ba5aa59e56c44fcbfe4a7838",
+    "arm_rows": "edef26b517758afc294f45dd5b85a16a1a0e8d6a47d6d7b7155422cdccad476c",
+    "parker_cowan": "0a643fc106ed77ff345d706735f8ae39e6ef84e632bde5c788328b2a3c059031",
+}
+
+
+def first_outcomes(monkeypatch, run):
+    """The outcomes of the first run_trials call that ``run()`` makes."""
+    real = estimators.run_trials
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(estimators, "run_trials", spy)
+    run()
+    return seen[0][0]
+
+
+class TestGoldenDecisions:
+
+    def test_invasion_records(self):
+        window = DiskWindow(ORIGIN, 64.0)
+        records = []
+        for s in range(20):
+            rec = invasion_sequence(
+                sample_configuration(SoupParams(1.0, 2.0), window, 0.5, 9000 + s), 6)
+            records.append((rec.I, rec.L, rec.T, rec.truncated))
+        assert _digest(records) == GOLDEN_DECISIONS["invasion"]
+
+    def test_y_gap_samples(self):
+        gaps = y_gap_samples(SoupParams(1.0, 2.0), 0, 0.125, 2000, 9100)
+        assert _digest(gaps.tolist()) == GOLDEN_DECISIONS["y_gap"]
+
+    def test_arm_scan_rows(self, monkeypatch):
+        rows = first_outcomes(
+            monkeypatch, lambda: arm_decay_scan(SoupParams(0.15, 2.0), 0.05, 4, 10, 9200))
+        assert _digest(rows) == GOLDEN_DECISIONS["arm_rows"]
+
+    def test_parker_cowan_counts(self, monkeypatch):
+        counts = first_outcomes(monkeypatch, lambda: parker_cowan_check(
+            SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 2000, 9300))
+        assert _digest([int(c) for c in counts]) == GOLDEN_DECISIONS["parker_cowan"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from sticksoup import events, geometry
 from sticksoup.events import _clip_to_region
 from sticksoup.geometry import (
     REL_EPS,
@@ -745,3 +746,92 @@ class TestLexsort2:
         n = 20000  # the rotation's shape: many wheels, few tied angles
         minor = np.round(rng.uniform(-math.pi, math.pi, n), 3)
         self.check(minor, rng.integers(0, n // 4, n))
+
+
+# Reference norms: the formulas the batch kernels used before _norm, with
+# np.hypot (one libm call per element).
+
+
+def hypot_radial_interval(segs, cx, cy):
+    ax = segs[:, 0] - cx
+    ay = segs[:, 1] - cy
+    bx = segs[:, 2] - cx
+    by = segs[:, 3] - cy
+    dx = bx - ax
+    dy = by - ay
+    dd = dx * dx + dy * dy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(dd > 0, -(ax * dx + ay * dy) / dd, 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    dmin = np.hypot(ax + t * dx, ay + t * dy)
+    dmax = np.maximum(np.hypot(ax, ay), np.hypot(bx, by))
+    return dmin, dmax
+
+
+def use_hypot_norms(monkeypatch):
+    """Run the batch kernels on the reference norms for the rest of the test."""
+    monkeypatch.setattr(geometry, "_norm", np.hypot)
+    monkeypatch.setattr(events, "radial_interval", hypot_radial_interval)
+
+
+def within_one_ulp(got, ref):
+    return np.all(np.abs(got - ref) <= np.spacing(ref))
+
+
+# (params, window radius, r_min, region) of the three benchmark workloads'
+# soups: `verify` (invasion, ~52k sticks), `arm` (~49k) and `h1` (~8.2k).
+# `verify` clusters nothing; its region is the `arm` annulus, which keeps
+# the pair tests few on these dense soups
+WORKLOAD_SOUPS = {
+    "verify": (SoupParams(1.0, 2.0), 64.0, 0.5, Annulus(Point(0, 0), 1.0, 16.0)),
+    "arm": (SoupParams(0.15, 2.0), 16.0, 0.05, Annulus(Point(0, 0), 1.0, 16.0)),
+    "h1": (SoupParams(0.2, 2.0), 8.0 * math.sqrt(2.0), 0.1, Box(Point(-8, -8), Point(8, 8))),
+}
+
+
+class TestNormMatchesHypot:
+    def test_norm_within_one_ulp(self):
+        rng = np.random.default_rng(31)
+        n = 400_000
+        # squares stay clear of overflow and of the subnormals
+        x = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-100, 100, n)
+        # the other component at ratios 1e-8 .. 1e8 of the first
+        y = x * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+        for a, b in ((x, y), (y, x), (x, x), (rng.normal(size=n), rng.normal(size=n))):
+            assert within_one_ulp(geometry._norm(a, b), np.hypot(a, b))
+        assert geometry._norm(0.0, 0.0) == 0.0
+        assert geometry._norm(np.zeros(3), -np.zeros(3)).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("size", sorted(WORKLOAD_SOUPS))
+    def test_radial_interval_within_one_ulp(self, size):
+        params, radius, r_min, _ = WORKLOAD_SOUPS[size]
+        window = DiskWindow(Point(0, 0), radius)
+        for s in range(3):
+            segs = sample_configuration(params, window, r_min, 700 + s).segments()
+            for cx, cy in ((0.0, 0.0), (0.3, -1.7)):
+                for got, ref in zip(geometry.radial_interval(segs, cx, cy),
+                                    hypot_radial_interval(segs, cx, cy)):
+                    assert within_one_ulp(got, ref)
+
+    @staticmethod
+    def decisions(segs, region):
+        """The threshold decisions that read the kernels' norms."""
+        _, _, lo = events._lowest_annulus_indices(segs, 0.0, 0.0)
+        pieces, owners, touch = _clip_to_region(segs, region)
+        tol = region_tol(region)
+        I, J = candidate_pairs(pieces, tol)
+        hits, px, py, overlap = batch_pair_intersections(pieces, I, J, tol)
+        return [lo, owners, pieces, *touch.values(), I[hits], J[hits], px[hits],
+                py[hits], overlap[hits]]
+
+    @pytest.mark.parametrize("size", sorted(WORKLOAD_SOUPS))
+    def test_decisions_match_on_workload_soups(self, monkeypatch, size):
+        params, radius, r_min, region = WORKLOAD_SOUPS[size]
+        window = DiskWindow(Point(0, 0), radius)
+        soups = [sample_configuration(params, window, r_min, 800 + s).segments()
+                 for s in range(10)]
+        got = [self.decisions(segs, region) for segs in soups]
+        use_hypot_norms(monkeypatch)
+        for segs, mine in zip(soups, got):
+            for a, b in zip(mine, self.decisions(segs, region)):
+                np.testing.assert_array_equal(a, b)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from sticksoup.geometry import Point, radial_interval
+from sticksoup.geometry import Point, radial_interval, stick_to_segment
 from sticksoup.soup import (
     Configuration,
     DiskWindow,
@@ -190,3 +190,19 @@ class TestJsonl:
         assert set(header) == {
             "u", "alpha", "r_min", "window_cx", "window_cy", "window_a", "seed",
         }
+
+    def test_direction_minus_half_pi_reads_as_half_pi(self):
+        # the sampler draws V in [-pi/2, pi/2) and the reader accepts |v| <=
+        # pi/2, while Stick takes (-pi/2, pi/2]: both ends name one stick
+        r = 0.7
+        text = configuration_to_jsonl(Configuration(
+            PARAMS, UNIT, 0.3, 5, np.array([[0.3, -0.2, r, -math.pi / 2]])))
+        cfg = configuration_from_jsonl(io.StringIO(text))
+        (stick,) = cfg.sticks
+        assert stick.direction == math.pi / 2
+        s = stick_to_segment(stick)
+        ends = np.array([[s.a.x, s.a.y], [s.b.x, s.b.y]])
+        want = cfg.segments()[0].reshape(2, 2)
+        if np.abs(ends - want).max() > np.abs(ends[::-1] - want).max():
+            ends = ends[::-1]
+        np.testing.assert_allclose(ends, want, rtol=0, atol=1e-15 * r)
