@@ -31,9 +31,11 @@ from .soup import (
     Configuration,
     DiskWindow,
     SoupParams,
+    configuration_mean,
     expected_count_band_convex,
     restrict_configuration,
     sample_configuration,
+    sample_configurations,
 )
 
 _MAX_DEGENERACY_RETRIES = 8
@@ -81,25 +83,41 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# Expected sticks sampled in one kernel pass: a run of small trials shares
+# one pass, a trial at least this large is sampled alone, and a run holds at
+# most this many trials.
+_RUN_STICKS = 4096
+
+
 def _trial_range(job: tuple, start: int, stop: int) -> tuple[list, int]:
-    """Trials start..stop-1 of the job in order: (outcomes, resamples)."""
+    """Trials start..stop-1 of the job in order: (outcomes, resamples).
+
+    Attempt 0 of each run of up to _RUN_STICKS // (mean sticks a trial)
+    trials is sampled in one call; a degenerate trial is resampled alone.
+    """
     params, window, r_min, master_seed, evaluate = job
+    mean = configuration_mean(params, window, r_min)
+    run = max(1, int(_RUN_STICKS // max(mean, 1.0)))
     outcomes = []
     resamples = 0
-    for i in range(start, stop):
-        for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
-            cfg = sample_configuration(
-                params, window, r_min, derive_seed(master_seed, i, attempt)
-            )
-            try:
-                outcomes.append(evaluate(cfg))
-                break
-            except DegeneracyError:
-                resamples += 1
-        else:
-            raise DegeneracyError(
-                f"trial {i}: degenerate after {_MAX_DEGENERACY_RETRIES} resamples"
-            )
+    for first in range(start, stop, run):
+        seeds = [derive_seed(master_seed, i, 0) for i in range(first, min(first + run, stop))]
+        batch = sample_configurations(params, window, r_min, seeds)
+        for i, cfg in enumerate(batch, first):
+            for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
+                if attempt:
+                    cfg = sample_configuration(
+                        params, window, r_min, derive_seed(master_seed, i, attempt)
+                    )
+                try:
+                    outcomes.append(evaluate(cfg))
+                    break
+                except DegeneracyError:
+                    resamples += 1
+            else:
+                raise DegeneracyError(
+                    f"trial {i}: degenerate after {_MAX_DEGENERACY_RETRIES} resamples"
+                )
     return outcomes, resamples
 
 
@@ -127,6 +145,10 @@ def _pooled_trials(ctx, job: tuple, n_trials: int, width: int) -> tuple[list, in
     not pickled), so ``evaluate`` may be a closure.  The chunks come back in
     order, so the first error raised is that of the lowest failing trial.
     """
+    # numpy loads numpy.random on first use: load it once here, not in
+    # every worker
+    import numpy.random  # noqa: F401
+
     size = max(1, n_trials // (width * _CHUNKS_PER_WORKER))
     chunks = [(s, min(s + size, n_trials)) for s in range(0, n_trials, size)]
     pool = ctx.Pool(width, _install_job, (job,))

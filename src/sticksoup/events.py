@@ -22,6 +22,7 @@ from .geometry import (
     _cell_table,
     _concat_ranges,
     _hits_vertical,
+    _norm,
     _sorted_unique,
     batch_clip_to_box,
     batch_pair_intersections,
@@ -318,6 +319,24 @@ def _lowest_annulus_indices(segs: np.ndarray, cx: float, cy: float):
     return dmin, dmax, _annulus_index(np.maximum(dmin, 1e-300))
 
 
+def _spanning_indices(c: Configuration):
+    """``_lowest_annulus_indices`` of the sticks that may cross a dyadic circle.
+
+    A stick with centre distance d and half-length R lies within distance
+    [d - R, d + R] of the window centre.  When that bound, widened by a
+    relative 1e-9 (float error is ~1e-15), lies in one annulus A_n, the
+    stick touches A_n alone and its lowest index is n, so it moves no D_j
+    (see ``_descend_once``) and is left out.
+    """
+    cx, cy = c.window.center.x, c.window.center.y
+    data = c.stick_data
+    d = _norm(data[:, 0] - cx, data[:, 1] - cy)
+    near = np.maximum((d - data[:, 2]) * (1.0 - 1e-9), 1e-300)
+    far = (d + data[:, 2]) * (1.0 + 1e-9)
+    spans = _annulus_index(near) != _annulus_index(far)
+    return _lowest_annulus_indices(sticks_to_segments(data[spans]), cx, cy)
+
+
 def _descend_once(dmin, dmax, lo, j: int) -> int:
     """D_j: largest n < j such that no stick touching A_j also touches A_n.
 
@@ -340,10 +359,7 @@ def invasion_sequence(c: Configuration, m: int) -> InvasionRecord:
         raise ValueError(
             f"truncation radius {c.r_min} cannot resolve annuli down to index 1"
         )
-    segs = c.segments()
-    dmin, dmax, lo = _lowest_annulus_indices(
-        segs, c.window.center.x, c.window.center.y
-    )
+    dmin, dmax, lo = _spanning_indices(c)
     I = [m]
     L: list[int] = []
     truncated = False
@@ -367,8 +383,5 @@ def y_statistic(c: Configuration, j: int) -> int:
     gaps >= 3 whenever r_min <= 2^(j-3).
     """
     c.window.require_contains(c.window.center, 2.0 ** j)
-    segs = c.segments()
-    dmin, dmax, lo = _lowest_annulus_indices(
-        segs, c.window.center.x, c.window.center.y
-    )
+    dmin, dmax, lo = _spanning_indices(c)
     return j - _descend_once(dmin, dmax, lo, j)

@@ -15,7 +15,7 @@ import numpy as np
 from .reports import EstimateReport, from_successes
 from .geometry import _hits_vertical, sticks_to_segments
 from .seeds import derive_seed
-from .soup import InfiniteMeasureError, hit_weights_disk, _sample_hit_sticks
+from .soup import InfiniteMeasureError, _hit_sticks, hit_weights_disk
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def lr1_measure(
     w_area, w_caps = hit_weights_disk(alpha, r_min, disk_r)
     total_weight = w_area + w_caps
     rng = np.random.default_rng(np.uint64(derive_seed(master_seed, 0)))
-    data = _sample_hit_sticks(rng, alpha, disk_r, r_min, n_trials)
+    data = _hit_sticks(rng.random(8 * n_trials).reshape(8, n_trials), alpha, disk_r, r_min)
     data[:, 0] += width / 2.0
     data[:, 1] += l / 2.0
     segs = sticks_to_segments(data)

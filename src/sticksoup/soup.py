@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -142,56 +142,95 @@ def expected_count_band_convex(
     return u * tail_mass * area + (2.0 * alpha * u / math.pi) * length_int * perimeter
 
 
-def _sample_hit_sticks(
-    rng: np.random.Generator, alpha: float, a: float, r_min: float, n: int
-) -> np.ndarray:
-    """Draw n sticks from the normalized law of sticks hitting B(0, a).
+def _uniform(u, low: float, high: float):
+    """``rng.uniform(low, high)`` from ``rng.random()`` draws, bit for bit."""
+    return low + (high - low) * u
 
-    Returns (n, 4) rows (cx, cy, r, v) relative to the window center.
+
+# Sticks the kernel builds at a time: its temporaries stay small enough to
+# be reused from one block to the next, not mapped afresh for every draw.
+_KERNEL_BLOCK = 4096
+
+
+def _hit_sticks(u: np.ndarray, alpha: float, a: float, r_min: float) -> np.ndarray:
+    """Sticks of the normalized law of sticks hitting B(0, a), one per column
+    of the (8, n) uniforms ``u``.
+
+    The rows of ``u`` are, in draw order: component pick, radius, direction,
+    rectangle test, along, across, cap radius, cap angle.  Each stick reads
+    only its own column, so a concatenation of blocks gives the
+    concatenation of their sticks.  Returns (n, 4) rows (cx, cy, r, v)
+    relative to the window center.
     """
     w_area, w_caps = hit_weights_disk(alpha, r_min, a)
     p_area = w_area / (w_area + w_caps)
-    pick = rng.random(n)
-    u_r = rng.random(n)
-    # area component: Pareto(alpha); cap component: Pareto(alpha - 1)
-    radii = np.where(
-        pick < p_area,
-        r_min * (1.0 - u_r) ** (-1.0 / alpha),
-        r_min * (1.0 - u_r) ** (-1.0 / (alpha - 1.0)),
-    )
-    dirs = rng.uniform(-math.pi / 2, math.pi / 2, n)
-    ex, ey = np.cos(dirs), np.sin(dirs)
-    # center: uniform in the stadium = rectangle (area 4 a R) + two half-disk caps
-    in_rect = rng.random(n) * (math.pi * a * a + 4 * a * radii) < 4 * a * radii
-    along = rng.uniform(-1.0, 1.0, n) * radii
-    across = rng.uniform(-a, a, n)
-    rect_x = along * ex - across * ey
-    rect_y = along * ey + across * ex
-    cap_rad = a * np.sqrt(rng.random(n))
-    cap_ang = rng.uniform(0.0, 2 * math.pi, n)
-    wx = cap_rad * np.cos(cap_ang)
-    wy = cap_rad * np.sin(cap_ang)
-    side = np.where(wx * ex + wy * ey >= 0, 1.0, -1.0)
-    cap_x = side * radii * ex + wx
-    cap_y = side * radii * ey + wy
-    cx = np.where(in_rect, rect_x, cap_x)
-    cy = np.where(in_rect, rect_y, cap_y)
-    return np.column_stack([cx, cy, radii, dirs])
+    out = np.empty((u.shape[1], 4))
+    for first in range(0, len(out), _KERNEL_BLOCK):
+        cols = slice(first, first + _KERNEL_BLOCK)
+        pick, u_r, u_v, u_rect, u_along, u_across, u_cap_r, u_cap_v = u[:, cols]
+        cx, cy, radii, dirs = out[cols].T
+        # area component: Pareto(alpha); cap component: Pareto(alpha - 1)
+        radii[:] = np.where(
+            pick < p_area,
+            r_min * (1.0 - u_r) ** (-1.0 / alpha),
+            r_min * (1.0 - u_r) ** (-1.0 / (alpha - 1.0)),
+        )
+        dirs[:] = _uniform(u_v, -math.pi / 2, math.pi / 2)
+        ex, ey = np.cos(dirs), np.sin(dirs)
+        # center: uniform in the stadium = rectangle (area 4 a R) + two
+        # half-disk caps; the caps hold all but a few percent of the sticks
+        cap_r = a * np.sqrt(u_cap_r)
+        cap_v = _uniform(u_cap_v, 0.0, 2 * math.pi)
+        wx = cap_r * np.cos(cap_v)
+        wy = cap_r * np.sin(cap_v)
+        # the cap on the side of (wx, wy) along the stick
+        reach = np.where(wx * ex + wy * ey >= 0, radii, -radii)
+        cx[:] = reach * ex + wx
+        cy[:] = reach * ey + wy
+        rect = np.flatnonzero(u_rect * (math.pi * a * a + 4 * a * radii) < 4 * a * radii)
+        along = _uniform(u_along[rect], -1.0, 1.0) * radii[rect]
+        across = _uniform(u_across[rect], -a, a)
+        cx[rect] = along * ex[rect] - across * ey[rect]
+        cy[rect] = along * ey[rect] + across * ex[rect]
+    return out
+
+
+def configuration_mean(params: SoupParams, window: DiskWindow, r_min: float) -> float:
+    """Mean stick count of a configuration sampled at (params, window, r_min)."""
+    if not (r_min > 0):
+        raise ValueError(f"truncation radius must be positive, got {r_min}")
+    return expected_hit_count_disk(params.alpha, params.u, r_min, window.radius)
+
+
+def sample_configurations(
+    params: SoupParams, window: DiskWindow, r_min: float, seeds: Sequence[int]
+) -> list[Configuration]:
+    """``sample_configuration`` for each seed, with one kernel pass for all.
+
+    Each seed's generator draws its Poisson count n and then one block of
+    8 n uniforms, in the order ``_hit_sticks`` reads them; the blocks are
+    concatenated and the configurations are views of the one result.
+    """
+    mean = configuration_mean(params, window, r_min)
+    blocks = []
+    for seed in seeds:
+        rng = np.random.default_rng(np.uint64(seed & ((1 << 64) - 1)))
+        n = int(rng.poisson(mean))
+        blocks.append(rng.random(8 * n).reshape(8, n))
+    u = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    data = _hit_sticks(u, params.alpha, window.radius, r_min)
+    data[:, 0] += window.center.x
+    data[:, 1] += window.center.y
+    ends = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    return [Configuration(params, window, r_min, seed, part)
+            for seed, part in zip(seeds, np.split(data, ends))]
 
 
 def sample_configuration(
     params: SoupParams, window: DiskWindow, r_min: float, trial_seed: int
 ) -> Configuration:
     """Exact draw of every stick with R >= r_min meeting the closed window disk."""
-    if not (r_min > 0):
-        raise ValueError(f"truncation radius must be positive, got {r_min}")
-    mean = expected_hit_count_disk(params.alpha, params.u, r_min, window.radius)
-    rng = np.random.default_rng(np.uint64(trial_seed & ((1 << 64) - 1)))
-    n = int(rng.poisson(mean))
-    data = _sample_hit_sticks(rng, params.alpha, window.radius, r_min, n)
-    data[:, 0] += window.center.x
-    data[:, 1] += window.center.y
-    return Configuration(params, window, r_min, trial_seed, data)
+    return sample_configurations(params, window, r_min, [trial_seed])[0]
 
 
 def restrict_configuration(c: Configuration, r_new: float) -> Configuration:

@@ -2,6 +2,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -147,6 +149,78 @@ class TestDegeneracyResample:
         assert len(calls) == 61
         assert calls[:2] == [derive_seed(8, 0, 0), derive_seed(8, 0, 1)]
         assert [r.n_trials for r in rep.rows] == [60, 60]
+
+
+class TestBatchedRuns:
+    """_trial_range samples each run of small trials in one call and
+    resamples a degenerate trial alone, as a one-trial-at-a-time loop does."""
+
+    SEED = 41
+
+    @staticmethod
+    def one_at_a_time(params, window, r_min, start, stop, seed, evaluate):
+        outcomes, resamples = [], 0
+        for i in range(start, stop):
+            for attempt in range(9):
+                cfg = sample_configuration(params, window, r_min, derive_seed(seed, i, attempt))
+                try:
+                    outcomes.append(evaluate(cfg))
+                    break
+                except DegeneracyError:
+                    resamples += 1
+            else:
+                raise AssertionError(f"trial {i} never succeeds")
+        return outcomes, resamples
+
+    @staticmethod
+    def flaky(bad, seen):
+        """Records every sample it sees; raises on the seeds in ``bad``."""
+
+        def evaluate(c):
+            seen.append(c.seed)
+            if c.seed in bad:
+                raise DegeneracyError("forced")
+            return c.seed, c.stick_data.tobytes()
+
+        return evaluate
+
+    # (window radius, r_min, trials, failing (trial, attempt) pairs): runs of
+    # 143 trials of ~28 sticks, with failures in the first run, at its last
+    # trial, at the first of the next and thrice in a row; then sticks
+    # enough for runs of one
+    @pytest.mark.parametrize("a,r_min,n,fails", [
+        (1.0, 0.5, 300, [(0, 0), (7, 0), (7, 1), (7, 2), (142, 0), (143, 0), (299, 0)]),
+        (4.0, 0.125, 5, [(1, 0), (2, 0), (2, 1)]),
+    ])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_resamples_match_one_at_a_time(self, a, r_min, n, fails, start):
+        params, window = SoupParams(1.0, 2.0), DiskWindow(ORIGIN, a)
+        bad = {derive_seed(self.SEED, i, k) for i, k in fails}
+        want_seen, got_seen = [], []
+        want = self.one_at_a_time(params, window, r_min, start, n, self.SEED,
+                                  self.flaky(bad, want_seen))
+        got = estimators._trial_range(
+            (params, window, r_min, self.SEED, self.flaky(bad, got_seen)), start, n)
+        assert got == want
+        assert got_seen == want_seen
+        assert got[1] == sum(i >= start for i, _ in fails)
+
+    def test_run_lengths(self, monkeypatch):
+        sizes = []
+        real = estimators.sample_configurations
+
+        def spy(params, window, r_min, seeds):
+            sizes.append(len(seeds))
+            return real(params, window, r_min, seeds)
+
+        monkeypatch.setattr(estimators, "sample_configurations", spy)
+        job = (SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 3, lambda c: c.n_sticks)
+        estimators._trial_range(job, 10, 400)
+        # 4096 // (4 pi + 16) = 143 trials a run
+        assert sizes == [143, 143, 104]
+        sizes.clear()
+        estimators._trial_range(job[:1] + (DiskWindow(ORIGIN, 64.0),) + job[2:], 0, 2)
+        assert sizes == [1, 1]
 
 
 class TestWilson:
@@ -527,6 +601,26 @@ class TestPooledTrials:
         estimators.run_trials(SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 8, 1,
                               lambda c: c.n_sticks)
         assert multiprocessing.active_children() == []
+
+    def test_numpy_random_loaded_before_forking(self):
+        # numpy loads numpy.random lazily; the pool loads it in the parent so
+        # that no worker pays for the import on its first draw
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from sticksoup import estimators\n"
+            "from sticksoup.geometry import Point\n"
+            "from sticksoup.soup import DiskWindow, SoupParams\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "estimators.run_trials(SoupParams(1.0, 2.0), DiskWindow(Point(0.0, 0.0), 1.0),\n"
+            "                      0.5, 4, 1, lambda c: c.n_sticks)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_nested_call_runs_serially(self, cpus):
         cpus(2)

@@ -5,15 +5,19 @@ import pytest
 
 from sticksoup.events import (
     _annulus_floor_index,
+    _annulus_index,
     _clip_to_region,
+    _descend_once,
     _flood,
     _lowest_annulus_indices,
     _piece_clusters,
+    _spanning_indices,
     arm_event,
     arm_reach,
     covered_components,
     double_circle_crossers,
     double_intersection_count,
+    InvasionRecord,
     invasion_sequence,
     lr1_event,
     y_statistic,
@@ -545,3 +549,81 @@ class TestDyadicIndex:
         rec = invasion_sequence(c, 1)
         assert rec.I == [1, -3] and rec.L == [4] and rec.T == 0
         assert rec.truncated
+
+
+class TestSpanningMask:
+    """invasion_sequence and y_statistic read only the sticks whose radial
+    bound spans a dyadic circle; every descent equals the one over all
+    sticks."""
+
+    JS = range(-4, 8)
+
+    @staticmethod
+    def descents(dmin, dmax, lo, js):
+        return [_descend_once(dmin, dmax, lo, j) for j in js]
+
+    def check(self, c):
+        center = c.window.center
+        full = _lowest_annulus_indices(c.segments(), center.x, center.y)
+        kept = _spanning_indices(c)
+        assert self.descents(*kept, self.JS) == self.descents(*full, self.JS)
+        # every stick whose segment touches two annuli is kept
+        dmin, dmax, lo = full
+        assert np.count_nonzero(lo != _annulus_index(dmax)) <= len(kept[0])
+        return len(kept[0])
+
+    @pytest.mark.parametrize("alpha,center", [(2.0, (0.0, 0.0)), (2.0, (3.0, -2.5)),
+                                              (1.5, (0.0, 0.0))])
+    def test_seeded_soups(self, alpha, center):
+        params = SoupParams(1.0, alpha)
+        for m in (3, 4, 5, 6):
+            window = DiskWindow(Point(*center), 2.0 ** m)
+            for i in range(6 if m < 6 else 2):
+                c = sample_configuration(params, window, 0.5, derive_seed(31, m, i))
+                assert self.check(c) < c.n_sticks
+                full = cfg_from(c.stick_data, 2.0 ** m, 0.5, center)
+                assert invasion_sequence(c, m) == self.reference_invasion(full, m)
+                assert y_statistic(c, m) == m - self.reference_descent(full, m)
+
+    @staticmethod
+    def reference_descent(c, j):
+        center = c.window.center
+        return _descend_once(*_lowest_annulus_indices(c.segments(), center.x, center.y), j)
+
+    def reference_invasion(self, c, m):
+        floor = _annulus_floor_index(c.r_min)
+        I, L = [m], []
+        while True:
+            d = self.reference_descent(c, I[-1])
+            L.append(I[-1] - d)
+            I.append(d)
+            if d < 1 or d < floor:
+                break
+        T = max((k for k, v in enumerate(I) if v >= 1), default=0)
+        return InvasionRecord(m=m, I=I, L=L, T=T, truncated=d < floor)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5, 0.0, 0.5, 0.0]],                  # from circle 1 to circle 2
+        [[3.0, 0.0, 1.0, 0.0], [0.0, 6.0, 2.0, math.pi / 2]],  # 2 to 4; 4 to 8
+        [[0.0, 2.0, 0.3, 0.0]],                  # closest point on circle 2
+        [[0.3, 1.0, 0.5, 0.0]],                  # tangent to circle 1
+        [[0.0, 0.0, 1.0, 0.3]],                  # through the centre
+        [[0.25, 0.0, 0.25, 0.0]],                # from the centre to circle 1/2
+        [[1.5, 0.0, 0.2, 1.0], [-6.0, 0.0, 1.0, 0.7]],  # inside A_1; inside A_3
+        [[1.5, 0.0, 0.5, 0.0], [1.5, 0.0, 0.2, 1.0], [0.0, 0.0, 3.0, 2.0]],
+        # radial sticks with one end on circle 2, from radius 1.2 and to
+        # radius 3.9: d + R (d - R) rounds to one side of the circle and the
+        # end's norm to the other, so only the widened bound keeps them
+        [[0.675403802285669, 1.4504584460983574, 0.4, 1.1350055774549994]],
+        [[2.860903077753273, 0.7195370592970538, 0.95, 0.2463964824230378]],
+    ])
+    def test_hand_built_sticks(self, rows):
+        c = cfg_from(rows, window_radius=16.0, r_min=0.125)
+        self.check(c)
+        assert invasion_sequence(c, 4) == self.reference_invasion(c, 4)
+
+    def test_sticks_inside_one_annulus_are_left_out(self):
+        c = cfg_from([[1.5, 0.0, 0.2, 1.0], [-6.0, 0.0, 1.0, 0.7], [1.5, 0.0, 0.5, 0.0]],
+                     window_radius=16.0, r_min=0.125)
+        dmin, _, lo = _spanning_indices(c)
+        assert dmin.tolist() == [1.0] and lo.tolist() == [0]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from sticksoup import soup
 from sticksoup.geometry import Point, radial_interval, stick_to_segment
+from sticksoup.seeds import derive_seed
 from sticksoup.soup import (
     Configuration,
     DiskWindow,
@@ -19,6 +22,7 @@ from sticksoup.soup import (
     radius_marginal_cdf,
     restrict_configuration,
     sample_configuration,
+    sample_configurations,
 )
 
 PARAMS = SoupParams(1.0, 2.0)
@@ -129,6 +133,102 @@ class TestSampler:
             sample_configuration(PARAMS, UNIT, 0.0, 1)
         with pytest.raises(InfiniteMeasureError):
             sample_configuration(SoupParams(1.0, 0.9), UNIT, 1.0, 1)
+
+
+def draw_one_by_one(rng, alpha, a, r_min, n):
+    """Sticks hitting B(0, a) drawn with one generator call per variable, in
+    the sampler's draw order: the form of the kernel before it read a block."""
+    w_area, w_caps = soup.hit_weights_disk(alpha, r_min, a)
+    pick = rng.random(n)
+    u_r = rng.random(n)
+    radii = np.where(
+        pick < w_area / (w_area + w_caps),
+        r_min * (1.0 - u_r) ** (-1.0 / alpha),
+        r_min * (1.0 - u_r) ** (-1.0 / (alpha - 1.0)),
+    )
+    dirs = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    ex, ey = np.cos(dirs), np.sin(dirs)
+    in_rect = rng.random(n) * (math.pi * a * a + 4 * a * radii) < 4 * a * radii
+    along = rng.uniform(-1.0, 1.0, n) * radii
+    across = rng.uniform(-a, a, n)
+    cap_rad = a * np.sqrt(rng.random(n))
+    cap_ang = rng.uniform(0.0, 2 * math.pi, n)
+    wx = cap_rad * np.cos(cap_ang)
+    wy = cap_rad * np.sin(cap_ang)
+    side = np.where(wx * ex + wy * ey >= 0, 1.0, -1.0)
+    cx = np.where(in_rect, along * ex - across * ey, side * radii * ex + wx)
+    cy = np.where(in_rect, along * ey + across * ex, side * radii * ey + wy)
+    return np.column_stack([cx, cy, radii, dirs])
+
+
+# sha256 of the stick_data bytes of sample_configuration at seeds 4000 + s,
+# recorded before the sampler read its uniforms as one block and before
+# runs of trials were sampled together: (u, alpha, window radius, centre,
+# r_min, seed count) -> digest
+GOLDEN_STICKS = {
+    (1.0, 2.0, 1.0, (0.0, 0.0), 0.5, 200):
+        "22881ba1121aa684e6b218d728dc6a854b08cffded94f65a7e35c6d26e1a18c7",
+    (0.05, 2.0, 1.0, (0.0, 0.0), 1.0, 200):
+        "96b61e5e54b3f156ebfc8e79315ee0df6cefd8408dad669ad06f6b228fc6e9b5",
+    (0.3, 1.5, 3.0, (1.25, -0.5), 0.2, 50):
+        "191683c23505ba57609b876ae4a0ce4844edf7ab32dbc7d0c5604f3521966020",
+    (2.0, 2.5, 2.0, (-3.0, 7.0), 0.1, 50):
+        "2019e4acc7bd1a46ac883e97d4cc9bfed33b692f4b9af0dc2c39fcebf8bf5ccb",
+    (1.0, 2.0, 64.0, (0.0, 0.0), 0.5, 3):
+        "63c74c41668189f3ba37d216b0d017412b62a5ef02340a55e75e07380cc40785",
+}
+
+
+class TestBatchedSampler:
+    """sample_configurations and the block kernel give the one-by-one draws
+    bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_STICKS))
+    def test_golden_stick_data(self, key):
+        u, alpha, a, (x, y), r_min, count = key
+        params, window = SoupParams(u, alpha), DiskWindow(Point(x, y), a)
+        seeds = [4000 + s for s in range(count)]
+        single = hashlib.sha256()
+        batched = hashlib.sha256()
+        for s, cfg in zip(seeds, sample_configurations(params, window, r_min, seeds)):
+            single.update(sample_configuration(params, window, r_min, s).stick_data.tobytes())
+            batched.update(cfg.stick_data.tobytes())
+        assert single.hexdigest() == GOLDEN_STICKS[key]
+        assert batched.hexdigest() == GOLDEN_STICKS[key]
+
+    @pytest.mark.parametrize("u,alpha,a,center,r_min,count", [
+        (1.0, 2.0, 1.0, (0.0, 0.0), 0.5, 150),   # ~28 sticks a trial
+        (0.02, 2.0, 1.0, (0.0, 0.0), 1.0, 100),  # mostly empty trials
+        (0.7, 1.5, 2.5, (3.0, -1.0), 0.3, 40),
+        (1.5, 2.5, 4.0, (-0.5, 0.25), 0.2, 12),
+        (1.0, 2.0, 4.0, (0.0, 0.0), 0.05, 3),    # above the kernel's block size
+    ])
+    def test_batch_equals_one_by_one(self, u, alpha, a, center, r_min, count):
+        params, window = SoupParams(u, alpha), DiskWindow(Point(*center), a)
+        seeds = [derive_seed(77, i) for i in range(count)]
+        batch = sample_configurations(params, window, r_min, seeds)
+        assert [c.seed for c in batch] == seeds
+        for s, cfg in zip(seeds, batch):
+            one = sample_configuration(params, window, r_min, s)
+            assert cfg.stick_data.shape == one.stick_data.shape
+            assert cfg.stick_data.tobytes() == one.stick_data.tobytes()
+            rng = np.random.default_rng(np.uint64(s))
+            n = int(rng.poisson(soup.configuration_mean(params, window, r_min)))
+            ref = draw_one_by_one(rng, alpha, a, r_min, n) + [center[0], center[1], 0.0, 0.0]
+            assert one.stick_data.tobytes() == ref.tobytes()
+        if u < 0.1:
+            assert any(c.n_sticks == 0 for c in batch)
+
+    def test_uniform_matches_generator(self):
+        for low, high in [(-math.pi / 2, math.pi / 2), (-1.0, 1.0), (-3.7, 3.7),
+                          (0.0, 2 * math.pi)]:
+            want = np.random.default_rng(5).uniform(low, high, 20_000)
+            got = soup._uniform(np.random.default_rng(5).random(20_000), low, high)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_bad_truncation(self):
+        with pytest.raises(ValueError, match="truncation radius must be positive"):
+            sample_configurations(PARAMS, UNIT, 0.0, [1, 2])
 
 
 class TestRestriction:
