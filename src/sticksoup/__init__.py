@@ -49,7 +49,6 @@ from .events import (
     covered_components,
     double_intersection_count,
     invasion_sequence,
-    lr1_event,
     y_statistic,
 )
 from .exploration import (

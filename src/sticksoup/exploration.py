@@ -159,6 +159,18 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
     segs, labels = segs[reach], labels[reach]
     stick_ids, clipped = stick_ids[reach[len(sides):]], clipped[reach[len(sides):]]
     n_segs = len(segs)
+    # Where a stick ends at a corner, or two sticks meet on a side, the
+    # covered set touches two sides at one point, and the walk, which stops
+    # at (or turns around on) the first side it reaches, cannot tell which
+    # crossing that point makes.  The sides keep ids 0-3: they meet at the
+    # corners, so all four are in the bottom side's component.
+    ends = box_sides(np.vstack([clipped[:, 0:2], clipped[:, 2:4]]), b, eps)
+    if np.any((ends["left"] | ends["right"]) & (ends["bottom"] | ends["top"])):
+        raise DegeneracyError("a stick ends at a corner of the box")
+    at = box_sides(np.column_stack([hx, hy]), b, eps)
+    on_side = at["bottom"] | at["right"] | at["top"] | at["left"]
+    if np.any(on_side & (I >= len(sides))):  # I < J: a pair of sticks
+        raise DegeneracyError("two sticks meet on a side of the box")
 
     # cut list: every segment's start, end and hits with other segments,
     # cut from the I side first, then the J side, each in hit order

@@ -437,14 +437,15 @@ def clip_pieces(segs: np.ndarray, t0: np.ndarray, t1: np.ndarray, eps: float):
     than ``eps`` (so also t1 > t0), and ``pieces`` holds those pieces as an
     (m, 4) array in row order.  The columns are computed over all rows and
     gathered once, which is cheaper than gathering the rows first when most
-    of them are kept.
+    of them are kept; ``np.compress`` gathers the rows several times faster
+    than a boolean index under numpy 2.4.
     """
     ax, ay = segs[:, 0], segs[:, 1]
     dx, dy = segs[:, 2] - ax, segs[:, 3] - ay
     keep = (t1 - t0) * _norm(dx, dy) > eps
-    out = np.column_stack(
+    out = np.compress(keep, np.column_stack(
         [ax + t0 * dx, ay + t0 * dy, ax + t1 * dx, ay + t1 * dy]
-    )[keep]
+    ), axis=0)
     return keep, out
 
 
@@ -486,35 +487,33 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
-def _cell_table(segs: np.ndarray, eps: float):
+def _cell_table(segs: np.ndarray, eps: float, scale: float = 1.0):
     """The broad phase's grid: every cell within ``eps`` of each segment.
 
-    The cell size is the median segment length, kept within [span/4096,
-    span/4]; up to 200 segments share one cell.  Returns (cells, count, key):
-    the cell of each (segment, cell) entry, grouped by segment in id order,
-    each segment's number of entries, and the sorted packed keys
-    ``cell * n + id``, so ids ascend within a cell.
+    The cell size is ``scale`` times the median segment length, kept within
+    [span/4096, span/4]; up to 200 segments share one cell.  Returns (cells,
+    count, key): the cell of each (segment, cell) entry, grouped by segment
+    in id order, each segment's number of entries, and the sorted packed
+    keys ``cell * n + id``, so ids ascend within a cell.
     """
     n = len(segs)
     if n <= 200:
         ids = np.arange(n, dtype=np.int64)
         return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), ids
-    lengths = _norm(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-    span = max(
-        segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
-        segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
-        1e-12,
-    )
-    cell = min(max(float(np.median(lengths)), span / 4096.0), span / 4.0)
-    x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
-    y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
+    # the four coordinates as contiguous rows, which the column ops below
+    # read several times faster than strided columns
+    x1, y1, x2, y2 = np.ascontiguousarray(segs.T)
+    lengths = _norm(x2 - x1, y2 - y1)
+    x0, y0 = float(min(x1.min(), x2.min())), float(min(y1.min(), y2.min()))
+    span = max(max(x1.max(), x2.max()) - x0, max(y1.max(), y2.max()) - y0, 1e-12)
+    cell = min(max(scale * float(np.median(lengths)), span / 4096.0), span / 4.0)
     pad = eps / cell
     # ends in grid units, left end first
-    swap = segs[:, 2] < segs[:, 0]
-    xa = (np.where(swap, segs[:, 2], segs[:, 0]) - x0) / cell
-    ya = (np.where(swap, segs[:, 3], segs[:, 1]) - y0) / cell
-    xb = (np.where(swap, segs[:, 0], segs[:, 2]) - x0) / cell
-    yb = (np.where(swap, segs[:, 1], segs[:, 3]) - y0) / cell
+    swap = x2 < x1
+    xa = (np.where(swap, x2, x1) - x0) / cell
+    ya = (np.where(swap, y2, y1) - y0) / cell
+    xb = (np.where(swap, x1, x2) - x0) / cell
+    yb = (np.where(swap, y1, y2) - y0) / cell
     # the columns within pad of the segment, then in each column the rows
     # within pad of the segment's y-extent over the column's padded x-range
     c0 = np.floor(xa - pad).astype(np.int64)

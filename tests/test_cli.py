@@ -446,6 +446,16 @@ class TestTraceAndRender:
         header, rows = self.sampled(tmp_path)
         assert self.render(tmp_path, jsonl(header, {**rows[0], "v": -math.pi / 2})) == 0
 
+    def test_stick_ending_at_a_box_corner_is_1(self, tmp_path, capsys):
+        # a stick from the box's corner (0.7, -0.7) to (0, 0.7): the walk
+        # cannot tell which crossing the corner makes, so the trace fails
+        header, _ = self.sampled(tmp_path)
+        row = {"cx": 0.35, "cy": 0.0, "r": math.hypot(0.7, 1.4) / 2,
+               "v": math.atan2(1.4, -0.7) - math.pi}
+        capsys.readouterr()
+        assert self.render(tmp_path, jsonl(header, row)) == 1
+        assert "corner" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_parker_cowan_z_small(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -492,6 +493,45 @@ class TestCrossingMeasure:
             # one-sided exact test per row, Bonferroni-split at family level 1e-3
             test = binomtest(row.successes, n_trials, p, alternative="less")
             assert test.pvalue > 1e-3 / m_max, (row.successes, p)
+
+
+class TestCrossingExactLaw:
+    """`estimate crossing` against two bounds on P(Top), the probability of
+    a covered bottom-top crossing of a w x h box, at alpha = 2.
+
+    Lower: one stick meeting both horizontal sides makes a crossing, so
+    P(Top) >= 1 - exp(-u mu_BT), where mu_BT = 4 atan(w/h) / (pi h/w) is
+    the measure of such sticks.  They have 2R >= h, so the truncation at
+    r_min <= h/2 loses none.  Upper: a crossing needs a stick meeting the
+    bottom side and one meeting the top side, each with Poisson(u mu_hit)
+    sticks, so P(Top) <= 1 - 2 exp(-u mu_B) + exp(-u (2 mu_B - mu_BT)).
+    """
+
+    @pytest.mark.parametrize("u", [0.02, 0.05])
+    @pytest.mark.parametrize("w, h", [(1.0, 1.0), (2.0, 1.0)])
+    def test_between_one_stick_and_two_poisson_bounds(self, w, h, u, tmp_path):
+        from scipy.stats import binom
+
+        from sticksoup.cli import run
+        from sticksoup.measures import RadiusAtLeast, SegmentShape, mu_hit
+
+        n_trials, r_min = 4000, h / 2
+        out = tmp_path / "crossing.json"
+        argv = ["estimate", "crossing", "--u", str(u), "--alpha", "2",
+                "--rmin", str(r_min), "--box", "0", "0", str(w), str(h),
+                "--trials", str(n_trials), "--seed", "2323", "--out", str(out)]
+        assert run(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        tops = n_trials - result["successes"]   # successes count "Right"
+        mu_bt = 4 * math.atan(w / h) / (math.pi * h / w)
+        mu_b = mu_hit(2.0, SegmentShape(w), RadiusAtLeast(r_min))
+        lower = -math.expm1(-u * mu_bt)
+        upper = 1 - 2 * math.exp(-u * mu_b) + math.exp(-u * (2 * mu_b - mu_bt))
+        assert lower < upper
+        # one-sided exact tests, Bonferroni-split over the 8 at level 1e-3
+        level = 1e-3 / 8
+        assert binom.cdf(tops, n_trials, lower) > level, (tops, lower)
+        assert binom.sf(tops - 1, n_trials, upper) > level, (tops, upper)
 
 
 def degenerate_on_a_fifth(fn):

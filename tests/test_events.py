@@ -11,6 +11,7 @@ from sticksoup.events import (
     _flood,
     _lowest_annulus_indices,
     _piece_clusters,
+    _segment_disk_params,
     _spanning_indices,
     arm_event,
     arm_reach,
@@ -19,7 +20,6 @@ from sticksoup.events import (
     double_intersection_count,
     InvasionRecord,
     invasion_sequence,
-    lr1_event,
     y_statistic,
 )
 from sticksoup.geometry import (
@@ -28,6 +28,8 @@ from sticksoup.geometry import (
     Point,
     Segment,
     Stick,
+    _hits_vertical,
+    clip_pieces,
     radial_interval,
     region_tol,
     segment_intersection,
@@ -346,27 +348,143 @@ class TestArmReachFlood:
         assert 0 < sum(events) and (u > 0.15 or sum(events) < len(events))
 
 
+class TestRadialBoundClip:
+    """The annulus clip solves the circle roots only for the rows whose
+    radial bound does not lie inside the annulus; it must equal, bit for bit,
+    a clip that solves them for every row."""
+
+    @staticmethod
+    def reference(segs, ann):
+        """The clip with roots for every row: the outer disk, the split at
+        the hole, then radial_interval on every piece."""
+        tol = region_tol(ann)
+        cx, cy = ann.center.x, ann.center.y
+        t0, t1 = _segment_disk_params(segs, cx, cy, ann.outer)
+        keep, outer = clip_pieces(segs, t0, t1, tol)
+        owners = np.flatnonzero(keep)
+        h0, h1 = _segment_disk_params(outer, cx, cy, ann.inner)
+        hole = h1 > h0
+        keep, pieces = clip_pieces(
+            np.vstack([outer, outer[hole]]),
+            np.concatenate([np.zeros(len(outer)), h1[hole]]),
+            np.concatenate([np.where(hole, h0, 1.0), np.ones(np.count_nonzero(hole))]),
+            tol,
+        )
+        dmin, dmax = radial_interval(pieces, cx, cy)
+        owners = np.concatenate([owners, owners[hole]])[keep]
+        return pieces, owners, dmin <= ann.inner + tol, dmax >= ann.outer - tol
+
+    def check(self, segs, ann):
+        pieces, owners, touch = _clip_to_region(segs, ann)
+        want = self.reference(segs, ann)
+        assert pieces.shape == want[0].shape and pieces.tobytes() == want[0].tobytes()
+        assert owners.dtype == want[1].dtype and np.array_equal(owners, want[1])
+        assert list(touch) == ["inner", "outer"]
+        assert np.array_equal(touch["inner"], want[2])
+        assert np.array_equal(touch["outer"], want[3])
+        return want
+
+    @staticmethod
+    def near_circle_rows(ann):
+        """Segments tangent to either circle, ending on it, or 0.5, 2 and 5
+        tol short of or past it, in eight directions around the centre, plus
+        radial segments through the hole."""
+        tol = region_tol(ann)
+        rows = []
+        for rad in (ann.inner, ann.outer):
+            for k in (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0):
+                r = rad + k * tol
+                for phi in np.arange(8) * math.pi / 4 + 0.1:
+                    ux, uy = math.cos(phi), math.sin(phi)
+                    px, py = ann.center.x + r * ux, ann.center.y + r * uy
+                    # tangent at radius r, and radial from r inwards and outwards
+                    rows.append([px - 0.3 * uy, py + 0.3 * ux, px + 0.3 * uy, py - 0.3 * ux])
+                    rows.append([px, py, px - 0.2 * ux, py - 0.2 * uy])
+                    rows.append([px, py, px + 0.2 * ux, py + 0.2 * uy])
+        for phi in (0.0, 0.7, math.pi / 2):
+            ux, uy = math.cos(phi), math.sin(phi)
+            for reach in (ann.inner * 0.5, ann.inner * 1.5, ann.outer * 1.5):
+                rows.append([ann.center.x - reach * ux, ann.center.y - reach * uy,
+                             ann.center.x + reach * ux, ann.center.y + reach * uy])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("center, inner, outer", [
+        ((0.0, 0.0), 1.0, 4.0),
+        ((0.0, 0.0), 1.0, 16.0),
+        ((0.3, -0.7), 0.5, 3.0),
+        ((-5.0, 2.5), 0.25, 0.75),
+    ])
+    def test_hand_built(self, center, inner, outer):
+        ann = Annulus(Point(*center), inner, outer)
+        pieces, _, touch_inner, touch_outer = self.check(self.near_circle_rows(ann), ann)
+        assert np.any(touch_inner) and np.any(~touch_inner)
+        assert np.any(touch_outer) and np.any(~touch_outer)
+
+    # (u, alpha, r_min, inner, outer, centre): the benchmark's arm size,
+    # A(1, 2) as in c04, and an off-centre annulus at alpha = 1.5
+    SOUPS = [
+        (0.15, 2.0, 0.05, 1.0, 16.0, (0.0, 0.0)),
+        (0.3, 2.0, 0.05, 1.0, 2.0, (0.0, 0.0)),
+        (0.15, 1.5, 0.05, 1.0, 16.0, (0.0, 0.0)),
+        (0.3, 1.5, 0.05, 1.0, 2.0, (0.4, -0.3)),
+    ]
+
+    @pytest.mark.parametrize("u, alpha, r_min, inner, outer, center", SOUPS)
+    def test_seeded_soups(self, u, alpha, r_min, inner, outer, center):
+        ann = Annulus(Point(*center), inner, outer)
+        window = DiskWindow(Point(*center), outer)
+        for i in range(3):
+            c = sample_configuration(SoupParams(u, alpha), window, r_min,
+                                     derive_seed(2323, i, int(10 * alpha), int(outer)))
+            pieces, owners, touch_inner, touch_outer = self.check(c.segments(), ann)
+            assert np.any(touch_inner) and np.any(touch_outer)
+            assert np.any(np.diff(owners) < 0)   # the hole split some pieces
+
+
+class TestFloodGridScale:
+    """The flood reaches the same pieces as full labelling at the labelling's
+    cell size and at the flood's own (twice it)."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("u, m, count", [(0.15, 4, 3), (0.3, 1, 10), (0.3, 2, 6)])
+    def test_seeded_soups(self, u, m, count, scale):
+        ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
+        window = DiskWindow(Point(0, 0), 2.0 ** m)
+        reached_any = 0
+        for i in range(count):
+            c = sample_configuration(SoupParams(u, 2.0), window, 0.05,
+                                     derive_seed(4747, int(100 * u), m, i))
+            _, pieces, touch, labelled = labelled_reach(c, ann)
+            assert len(pieces) > 200   # beyond the one-cell grid
+            seeds = np.flatnonzero(touch["inner"])
+            got = _flood(pieces, seeds, region_tol(ann), scale)
+            assert np.array_equal(got, labelled)
+            reached_any += int(np.any(got))
+        assert reached_any
+
+
+def lr_crossing(rows, b):
+    """The lr1 event as ``lr1_measure`` tests it: one stick meets both
+    vertical sides of the box."""
+    segs = sticks_to_segments(np.asarray(rows, dtype=float).reshape(-1, 4))
+    return bool(np.any(_hits_vertical(segs, b.min.x, b.min.y, b.max.y)
+                       & _hits_vertical(segs, b.max.x, b.min.y, b.max.y)))
+
+
 class TestLr1Event:
     BOX = Box(Point(0, 0), Point(2, 1))
 
     def test_single_horizontal_spanning_stick(self):
-        c = cfg_from([[1.0, 0.5, 1.2, 0.0]])
-        assert lr1_event(c, self.BOX, 2.0)
+        assert lr_crossing([[1.0, 0.5, 1.2, 0.0]], self.BOX)
 
     def test_empty(self):
-        assert lr1_event(cfg_from([]), self.BOX, 2.0) is False
+        assert lr_crossing([], self.BOX) is False
 
     def test_touching_one_side_only(self):
-        c = cfg_from([[0.1, 0.5, 0.3, 0.0]])
-        assert not lr1_event(c, self.BOX, 2.0)
+        assert not lr_crossing([[0.1, 0.5, 0.3, 0.0]], self.BOX)
 
     def test_two_sticks_do_not_count(self):
-        c = cfg_from([[0.5, 0.5, 0.6, 0.0], [1.5, 0.5, 0.6, 0.0]])
-        assert not lr1_event(c, self.BOX, 2.0)
-
-    def test_inconsistent_k_rejected(self):
-        with pytest.raises(ValueError):
-            lr1_event(cfg_from([]), self.BOX, 3.0)
+        assert not lr_crossing([[0.5, 0.5, 0.6, 0.0], [1.5, 0.5, 0.6, 0.0]], self.BOX)
 
     @pytest.mark.parametrize("cx, expected", [(1.0, True), (1.0 - 5e-7, False)])
     def test_stick_ending_at_the_far_side(self, cx, expected):
@@ -377,7 +495,7 @@ class TestLr1Event:
         stick = stick_to_segment(Stick(Point(cx, 0.5), 1.0, 0.0))
         point, _ = segment_intersection(stick, right)
         assert (point is not None) == expected
-        assert lr1_event(cfg_from([row]), self.BOX, 2.0) == expected
+        assert lr_crossing([row], self.BOX) == expected
 
 
 class TestDoubleIntersection:

@@ -35,6 +35,7 @@ from sticksoup.soup import (
     apply_homothety,
     sample_configuration,
 )
+from test_acceptance import _covered_top_bottom_oracle
 
 PARAMS = SoupParams(1.0, 2.0)
 UNIT_BOX = Box(Point(0, 0), Point(1, 1))
@@ -87,6 +88,69 @@ class TestBuildArrangement:
         small = DiskWindow(Point(0.5, 0.5), 0.3)
         with pytest.raises(ValueError):
             build_arrangement(cfg_from([], window=small), UNIT_BOX)
+
+
+def stick_between(p, q):
+    """The stick row [cx, cy, r, v] from point p to point q."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    v = math.atan2(dy, dx)
+    if v > math.pi / 2:
+        v -= math.pi
+    elif v <= -math.pi / 2:
+        v += math.pi
+    return [(p[0] + q[0]) / 2, (p[1] + q[1]) / 2, math.hypot(dx, dy) / 2, v]
+
+
+class TestCornerAndSideContacts:
+    """A stick ending at a corner, or two sticks meeting on a side, raises
+    DegeneracyError; every other outcome agrees with c05's union-find oracle
+    (a covered bottom-top path exists iff the walk ends on top)."""
+
+    WINDOW = DiskWindow(Point(0.5, 0.5), 2.0)
+
+    def outcome(self, ends):
+        cfg = cfg_from([stick_between(p, q) for p, q in ends], window=self.WINDOW)
+        try:
+            return trace_exploration(build_arrangement(cfg, UNIT_BOX)).outcome, cfg
+        except DegeneracyError:
+            return None, cfg
+
+    @pytest.mark.parametrize("ends, match", [
+        ([((1, 0), (0.5, 1))], "corner"),
+        ([((0.5, 0), (1, 1))], "corner"),
+        ([((0.5, 0), (1, 0.5)), ((1, 0.5), (0.5, 1))], "side"),
+        ([((0.5, 0), (0, 0.5)), ((0, 0.5), (0.5, 1))], "side"),
+    ], ids=["corner-1-0", "corner-1-1", "meet-on-right", "meet-on-left"])
+    def test_covered_crossing_through_a_contact_raises(self, ends, match):
+        # each holds a covered bottom-top path, which the walk used to miss
+        cfg = cfg_from([stick_between(p, q) for p, q in ends], window=self.WINDOW)
+        assert _covered_top_bottom_oracle(cfg, UNIT_BOX)
+        with pytest.raises(DegeneracyError, match=match):
+            build_arrangement(cfg, UNIT_BOX)
+
+    def test_stick_to_the_top_left_corner(self):
+        outcome, cfg = self.outcome([((0.5, 0), (0, 1))])
+        assert outcome is None or (outcome == "Top") == _covered_top_bottom_oracle(cfg, UNIT_BOX)
+
+    def test_sticks_meeting_inside_the_box(self):
+        outcome, cfg = self.outcome([((0.5, 0), (0.9, 0.5)), ((0.9, 0.5), (0.5, 1))])
+        assert outcome == "Top" and _covered_top_bottom_oracle(cfg, UNIT_BOX)
+
+    def test_lattice_configurations(self):
+        # stick ends on lattices of step 1/2, 1/4 and 1/8 over [-0.5, 1.5]^2,
+        # where ends on corners and meetings on sides are common
+        rng = np.random.default_rng(2323)
+        tally = {None: 0, "Top": 0, "Right": 0}
+        for k in range(600):
+            step = (0.5, 0.25, 0.125)[k % 3]
+            m = int(rng.integers(2, 14))
+            pts = rng.integers(round(-0.5 / step), round(1.5 / step) + 1,
+                               size=(m, 2, 2)) * step
+            outcome, cfg = self.outcome([(p, q) for p, q in pts if np.any(p != q)])
+            tally[outcome] += 1
+            if outcome is not None:
+                assert (outcome == "Top") == _covered_top_bottom_oracle(cfg, UNIT_BOX), pts
+        assert min(tally.values()) >= 60
 
 
 def n_components(n, i, j):
