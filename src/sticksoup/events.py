@@ -150,26 +150,20 @@ def _piece_clusters(segs: np.ndarray, region):
     return pieces, touch, kept, node, labels
 
 
-def _flood(pieces: np.ndarray, seeds: np.ndarray, eps: float, scale: float = 2.0):
+def _flood(pieces: np.ndarray, seeds: np.ndarray, eps: float):
     """Per piece, whether it is joined to a seed piece by a chain of hitting
     pieces: the union of the seeds' components in _piece_clusters.
 
     Each round looks up the grid cells of the newly reached pieces only and
     tests each (lower, higher) candidate pair whose partner is not reached
-    yet.  The pair test and the tolerance are those of the full labelling,
-    and any grid padded by ``eps`` lists every hitting pair, so the same
-    edges decide the same components.  The grid's cells are ``scale`` times
-    the labelling's.  A flood looks up only the pieces it reaches, so a
-    coarser grid trades fewer entries to build and sort for more candidates
-    per reached piece: it pays where the flood reaches a small share of the
-    pieces (about 6% at u = 0.15 on A(1, 16)), and costs more where it
-    reaches most of them (u >= 0.3 at alpha = 2).  Seeded from the
-    pieces touching an annulus' inner circle, the pieces need no grouping by
-    stick: a stick is split only where it crosses the open hole, and then
+    yet; the grid, the pair test and the tolerance are those of the full
+    labelling, so the same edges decide the same components.  Seeded from
+    the pieces touching an annulus' inner circle, the pieces need no grouping
+    by stick: a stick is split only where it crosses the open hole, and then
     both of its pieces end on the inner circle, so both are seeds.
     """
     n = len(pieces)
-    cells, count, key = _cell_table(pieces, eps, scale)
+    cells, count, key = _cell_table(pieces, eps)
     first = np.cumsum(count) - count
     reached = np.zeros(n, dtype=bool)
     front = seeds

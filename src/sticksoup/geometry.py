@@ -487,38 +487,67 @@ def _concat_ranges(lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
-def _cell_table(segs: np.ndarray, eps: float, scale: float = 1.0):
+# Segments _cell_table grids at a time: as in the sampler, the temporaries
+# stay small enough to be reused from one block to the next, where
+# whole-array temporaries would be mapped afresh on every call.
+_GRID_BLOCK = 4096
+
+
+def _cell_table(segs: np.ndarray, eps: float):
     """The broad phase's grid: every cell within ``eps`` of each segment.
 
-    The cell size is ``scale`` times the median segment length, kept within
-    [span/4096, span/4]; up to 200 segments share one cell.  Returns (cells,
-    count, key): the cell of each (segment, cell) entry, grouped by segment
-    in id order, each segment's number of entries, and the sorted packed
-    keys ``cell * n + id``, so ids ascend within a cell.
+    The cell size is the median segment length, kept within [span/4096,
+    span/4]; up to 200 segments share one cell.  Returns (cells, count, key):
+    the cell of each (segment, cell) entry, grouped by segment in id order,
+    each segment's number of entries, and the sorted packed keys
+    ``cell * n + id``, so ids ascend within a cell.
     """
     n = len(segs)
     if n <= 200:
         ids = np.arange(n, dtype=np.int64)
         return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), ids
-    # the four coordinates as contiguous rows, which the column ops below
-    # read several times faster than strided columns
-    x1, y1, x2, y2 = np.ascontiguousarray(segs.T)
-    lengths = _norm(x2 - x1, y2 - y1)
-    x0, y0 = float(min(x1.min(), x2.min())), float(min(y1.min(), y2.min()))
-    span = max(max(x1.max(), x2.max()) - x0, max(y1.max(), y2.max()) - y0, 1e-12)
-    cell = min(max(scale * float(np.median(lengths)), span / 4096.0), span / 4.0)
+    xs, ys = segs[:, 0::2], segs[:, 1::2]
+    x0, y0 = float(xs.min()), float(ys.min())
+    span = max(float(xs.max()) - x0, float(ys.max()) - y0, 1e-12)
+    lengths = _norm(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    cell = min(max(float(np.median(lengths)), span / 4096.0), span / 4.0)
     pad = eps / cell
+    starts = range(0, n, _GRID_BLOCK)
+    blocks = [_grid_columns(segs[s:s + _GRID_BLOCK], x0, y0, cell, pad) for s in starts]
+    # cell = ix * ny + iy over the shifted grid; a column's rows are
+    # consecutive cells.  cell >= span/4096 keeps the grid within 4099
+    # cells a side (pad, a tolerance far below a cell, adds at most one at
+    # each end), so the key fits in int64 for any n below 5e11
+    col0 = min(int(col.min()) for _, col, _, _ in blocks)
+    row0 = min(int(r0.min()) for _, _, r0, _ in blocks)
+    ny = max(int((r0 + nrow).max()) for _, _, r0, nrow in blocks) - row0
+    cells, ids = [], []
+    for s, (seg, col, r0, nrow) in zip(starts, blocks):
+        base = (col - col0) * ny + (r0 - row0) - (np.cumsum(nrow) - nrow)
+        ent = np.repeat(np.arange(len(col)), nrow)
+        cells.append(base[ent] + np.arange(len(ent), dtype=np.int64))
+        ids.append(seg[ent] + s)
+    cells, ids = np.concatenate(cells), np.concatenate(ids)
+    count = np.bincount(ids, minlength=n).astype(np.int64)
+    return cells, count, np.sort(cells * np.int64(n) + ids)
+
+
+def _grid_columns(segs: np.ndarray, x0: float, y0: float, cell: float, pad: float):
+    """The grid columns within ``pad`` cells of each segment of one block of
+    ``_cell_table``, and in each column the rows within ``pad`` of the
+    segment's y-extent over the column's padded x-range.  Returns (seg, col,
+    r0, nrow) per (segment, column) entry: the segment's row in the block,
+    the column, the first row and the number of rows."""
+    x1, y1, x2, y2 = segs.T
     # ends in grid units, left end first
     swap = x2 < x1
     xa = (np.where(swap, x2, x1) - x0) / cell
     ya = (np.where(swap, y2, y1) - y0) / cell
     xb = (np.where(swap, x1, x2) - x0) / cell
     yb = (np.where(swap, y1, y2) - y0) / cell
-    # the columns within pad of the segment, then in each column the rows
-    # within pad of the segment's y-extent over the column's padded x-range
     c0 = np.floor(xa - pad).astype(np.int64)
     ncol = np.floor(xb + pad).astype(np.int64) - c0 + 1
-    seg = np.repeat(np.arange(n, dtype=np.int64), ncol)
+    seg = np.repeat(np.arange(len(segs), dtype=np.int64), ncol)
     col = c0[seg] + _concat_ranges(ncol)
     xa, ya, xb, yb = xa[seg], ya[seg], xb[seg], yb[seg]
     dx = xb - xa
@@ -531,17 +560,7 @@ def _cell_table(segs: np.ndarray, eps: float, scale: float = 1.0):
     y_hi = ya + t_hi * (yb - ya)
     r0 = np.floor(np.minimum(y_lo, y_hi) - pad).astype(np.int64)
     nrow = np.floor(np.maximum(y_lo, y_hi) + pad).astype(np.int64) - r0 + 1
-    # cell = ix * ny + iy over the shifted grid; a column's rows are
-    # consecutive cells.  cell >= span/4096 keeps the grid within 4099
-    # cells a side (pad, a tolerance far below a cell, adds at most one at
-    # each end), so the key fits in int64 for any n below 5e11
-    ny = int((r0 + nrow).max() - r0.min())
-    base = (col - col.min()) * ny + (r0 - r0.min()) - (np.cumsum(nrow) - nrow)
-    ent = np.repeat(np.arange(len(col)), nrow)
-    cells = base[ent] + np.arange(len(ent), dtype=np.int64)
-    ids = seg[ent]
-    count = np.bincount(ids, minlength=n).astype(np.int64)
-    return cells, count, np.sort(cells * np.int64(n) + ids)
+    return seg, col, r0, nrow
 
 
 def candidate_pairs(segs: np.ndarray, eps: float):

@@ -129,6 +129,13 @@ def decorrelation_bound(alpha: float, u: float, l1: float, l2: float) -> float:
     return min(2.0, 4.0 * u * upper)
 
 
+def _crosses_vertical_sides(segs: np.ndarray, x0: float, x1: float, y0: float,
+                            y1: float) -> np.ndarray:
+    """Per segment, whether it meets both vertical sides {x0} x [y0, y1] and
+    {x1} x [y0, y1] of a box: the single-stick crossing of ``lr1_measure``."""
+    return _hits_vertical(segs, x0, y0, y1) & _hits_vertical(segs, x1, y0, y1)
+
+
 def lr1_measure(
     alpha: float,
     l: float,
@@ -160,10 +167,8 @@ def lr1_measure(
     data = _hit_sticks(rng.random(8 * n_trials).reshape(8, n_trials), alpha, disk_r, r_min)
     data[:, 0] += width / 2.0
     data[:, 1] += l / 2.0
-    segs = sticks_to_segments(data)
-    # stick meets both {0} x [0, l] and {kl} x [0, l]
     crossings = int(np.count_nonzero(
-        _hits_vertical(segs, 0.0, 0.0, l) & _hits_vertical(segs, width, 0.0, l)
+        _crosses_vertical_sides(sticks_to_segments(data), 0.0, width, 0.0, l)
     ))
     report = from_successes(crossings, n_trials, master_seed, {})
     mu_hat = total_weight * report.estimate

@@ -39,9 +39,6 @@ from sticksoup.geometry import (
     Point,
     Polyline,
     Segment,
-    batch_clip_to_box,
-    batch_pair_intersections,
-    candidate_pairs,
     segment_circle_intersections,
 )
 from sticksoup.seeds import derive_seed
@@ -51,6 +48,7 @@ from sticksoup.soup import (
     radius_marginal_cdf,
     sample_configuration,
 )
+from oracles import _covered_top_bottom_oracle
 
 UNIT_BOX = Box(Point(0.0, 0.0), Point(1.0, 1.0))
 UNIT_WINDOW = DiskWindow(Point(0.5, 0.5), math.sqrt(2.0) / 2.0)
@@ -183,47 +181,6 @@ def test_c04_arm_scale_invariance():
 
 # ---------------------------------------------------------------------------
 # 5-7. Traced batches: dichotomy, topology, non-crossing
-
-
-class _UF:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        self.p[self.find(a)] = self.find(b)
-
-
-def _covered_top_bottom_oracle(cfg, box):
-    """Independent union-find route: bottom side adjoined to the covered set,
-    clipped sticks unioned on pairwise intersection, top side reachable?"""
-    keep, clipped = batch_clip_to_box(cfg.segments(), box)
-    n = len(clipped)
-    if n == 0:
-        return False
-    tol = 1e-9 * max(1.0, box.diagonal())
-    bottom = (np.abs(clipped[:, 1] - box.min.y) <= tol) | (
-        np.abs(clipped[:, 3] - box.min.y) <= tol
-    )
-    top = (np.abs(clipped[:, 1] - box.max.y) <= tol) | (
-        np.abs(clipped[:, 3] - box.max.y) <= tol
-    )
-    uf = _UF(n + 1)
-    for i in np.flatnonzero(bottom):
-        uf.union(int(i), n)
-    I, J = candidate_pairs(clipped, tol)
-    if len(I):
-        hits, _, _, _ = batch_pair_intersections(clipped, I, J, tol)
-        for i, j in zip(I[hits], J[hits]):
-            uf.union(int(i), int(j))
-    root = uf.find(n)
-    return any(uf.find(int(i)) == root for i in np.flatnonzero(top))
 
 
 def _clipped_segment(arr, s):

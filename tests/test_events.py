@@ -28,7 +28,6 @@ from sticksoup.geometry import (
     Point,
     Segment,
     Stick,
-    _hits_vertical,
     clip_pieces,
     radial_interval,
     region_tol,
@@ -36,6 +35,7 @@ from sticksoup.geometry import (
     stick_to_segment,
     sticks_to_segments,
 )
+from sticksoup.measures import _crosses_vertical_sides
 from sticksoup.seeds import derive_seed
 from sticksoup.soup import (
     Configuration,
@@ -441,34 +441,11 @@ class TestRadialBoundClip:
             assert np.any(np.diff(owners) < 0)   # the hole split some pieces
 
 
-class TestFloodGridScale:
-    """The flood reaches the same pieces as full labelling at the labelling's
-    cell size and at the flood's own (twice it)."""
-
-    @pytest.mark.parametrize("scale", [1.0, 2.0])
-    @pytest.mark.parametrize("u, m, count", [(0.15, 4, 3), (0.3, 1, 10), (0.3, 2, 6)])
-    def test_seeded_soups(self, u, m, count, scale):
-        ann = Annulus(Point(0, 0), 1.0, 2.0 ** m)
-        window = DiskWindow(Point(0, 0), 2.0 ** m)
-        reached_any = 0
-        for i in range(count):
-            c = sample_configuration(SoupParams(u, 2.0), window, 0.05,
-                                     derive_seed(4747, int(100 * u), m, i))
-            _, pieces, touch, labelled = labelled_reach(c, ann)
-            assert len(pieces) > 200   # beyond the one-cell grid
-            seeds = np.flatnonzero(touch["inner"])
-            got = _flood(pieces, seeds, region_tol(ann), scale)
-            assert np.array_equal(got, labelled)
-            reached_any += int(np.any(got))
-        assert reached_any
-
-
 def lr_crossing(rows, b):
-    """The lr1 event as ``lr1_measure`` tests it: one stick meets both
-    vertical sides of the box."""
+    """Whether one stick meets both vertical sides of the box, by the
+    predicate of ``lr1_measure``."""
     segs = sticks_to_segments(np.asarray(rows, dtype=float).reshape(-1, 4))
-    return bool(np.any(_hits_vertical(segs, b.min.x, b.min.y, b.max.y)
-                       & _hits_vertical(segs, b.max.x, b.min.y, b.max.y)))
+    return bool(np.any(_crosses_vertical_sides(segs, b.min.x, b.max.x, b.min.y, b.max.y)))
 
 
 class TestLr1Event:

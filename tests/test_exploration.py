@@ -35,7 +35,7 @@ from sticksoup.soup import (
     apply_homothety,
     sample_configuration,
 )
-from test_acceptance import _covered_top_bottom_oracle
+from oracles import _covered_top_bottom_oracle
 
 PARAMS = SoupParams(1.0, 2.0)
 UNIT_BOX = Box(Point(0, 0), Point(1, 1))

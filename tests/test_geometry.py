@@ -18,6 +18,7 @@ from sticksoup.geometry import (
     Polyline,
     Segment,
     Stick,
+    _cell_table,
     _concat_ranges,
     _lexsort2,
     _sorted_unique,
@@ -553,6 +554,94 @@ class TestCandidatePairsMatchLexsort:
         I, J = candidate_pairs(segs, eps)
         assert np.any((I == n - 2) & (J == n - 1))
         assert len(candidate_pairs(pair, eps)[0]) == 1
+
+
+def whole_array_cell_table(segs, eps):
+    """``_cell_table`` in one pass over all segments, as before it worked in
+    blocks: the reference whose cells, counts and keys it must equal."""
+    n = len(segs)
+    dx, dy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
+    lengths = np.sqrt(dx * dx + dy * dy)   # the kernels' norm, not hypot
+    span = max(
+        segs[:, [0, 2]].max() - segs[:, [0, 2]].min(),
+        segs[:, [1, 3]].max() - segs[:, [1, 3]].min(),
+        1e-12,
+    )
+    cell = min(max(float(np.median(lengths)), span / 4096.0), span / 4.0)
+    x0 = float(min(segs[:, 0].min(), segs[:, 2].min()))
+    y0 = float(min(segs[:, 1].min(), segs[:, 3].min()))
+    pad = eps / cell
+    swap = segs[:, 2] < segs[:, 0]
+    xa = (np.where(swap, segs[:, 2], segs[:, 0]) - x0) / cell
+    ya = (np.where(swap, segs[:, 3], segs[:, 1]) - y0) / cell
+    xb = (np.where(swap, segs[:, 0], segs[:, 2]) - x0) / cell
+    yb = (np.where(swap, segs[:, 1], segs[:, 3]) - y0) / cell
+    c0 = np.floor(xa - pad).astype(np.int64)
+    ncol = np.floor(xb + pad).astype(np.int64) - c0 + 1
+    seg = np.repeat(np.arange(n, dtype=np.int64), ncol)
+    col = c0[seg] + _concat_ranges(ncol)
+    xa, ya, xb, yb = xa[seg], ya[seg], xb[seg], yb[seg]
+    dx = xb - xa
+    flat = dx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, dx))
+    t_lo = np.where(flat, 0.0, np.clip((col - pad - xa) * inv, 0.0, 1.0))
+    t_hi = np.where(flat, 1.0, np.clip((col + 1 + pad - xa) * inv, 0.0, 1.0))
+    y_lo = ya + t_lo * (yb - ya)
+    y_hi = ya + t_hi * (yb - ya)
+    r0 = np.floor(np.minimum(y_lo, y_hi) - pad).astype(np.int64)
+    nrow = np.floor(np.maximum(y_lo, y_hi) + pad).astype(np.int64) - r0 + 1
+    ny = int((r0 + nrow).max() - r0.min())
+    base = (col - col.min()) * ny + (r0 - r0.min()) - (np.cumsum(nrow) - nrow)
+    ent = np.repeat(np.arange(len(col)), nrow)
+    cells = base[ent] + np.arange(len(ent), dtype=np.int64)
+    ids = seg[ent]
+    count = np.bincount(ids, minlength=n).astype(np.int64)
+    return cells, count, np.sort(cells * np.int64(n) + ids)
+
+
+class TestCellTableBlocks:
+    """The grid built in blocks of segments against the whole-array
+    reference, bit for bit, on either side of the block seams."""
+
+    @staticmethod
+    def check(segs, eps):
+        got, ref = _cell_table(segs, eps), whole_array_cell_table(segs, eps)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.fixture(scope="class")
+    def arm_pieces(self):
+        ann = Annulus(Point(0, 0), 1.0, 16.0)
+        cfg = sample_configuration(
+            SoupParams(0.15, 2.0), DiskWindow(Point(0, 0), 16.0), 0.05, derive_seed(23, 1)
+        )
+        pieces, _, _ = _clip_to_region(cfg.segments(), ann)
+        assert len(pieces) > 3 * geometry._GRID_BLOCK
+        return pieces, region_tol(ann)
+
+    @pytest.mark.parametrize("seam", [0, 1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_prefixes_at_block_seams(self, arm_pieces, seam, offset):
+        pieces, eps = arm_pieces
+        n = max(201, seam * geometry._GRID_BLOCK + offset)
+        self.check(pieces[:n], eps)
+
+    @pytest.mark.parametrize("order", ["sampled", "by_y", "by_x_descending"])
+    def test_whole_soup(self, arm_pieces, order):
+        # sorted, the blocks cover different bands of the grid, so the
+        # grid's extent must come from all of them
+        pieces, eps = arm_pieces
+        key = {"sampled": None, "by_y": pieces[:, 1], "by_x_descending": -pieces[:, 0]}[order]
+        self.check(pieces if key is None else pieces[np.argsort(key)], eps)
+
+    def test_vertical_and_point_segments(self):
+        # flat columns (dx == 0) and zero-length segments in every block
+        rng = np.random.default_rng(23)
+        n = 2 * geometry._GRID_BLOCK + 7
+        x, y = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n)
+        h = np.where(np.arange(n) % 3 == 0, 0.0, rng.uniform(0, 0.5, n))
+        self.check(np.column_stack([x, y, x, y + h]), 1e-9)
 
 
 def structured_pairs(rng, n):
