@@ -342,7 +342,7 @@ def _invasion(args):
     window = DiskWindow(Point(0.0, 0.0), 2.0 ** args.m)
     records, _ = run_trials(
         params, window, args.rmin, args.trials, args.seed,
-        lambda cfg: asdict(invasion_sequence(cfg, args.m)),
+        lambda cfg: asdict(invasion_sequence(cfg, args.m)), dyadic_only=True,
     )
     return records
 

@@ -48,6 +48,7 @@ def run_trials(
     n_trials: int,
     master_seed: int,
     evaluate: Callable[[Configuration], object],
+    dyadic_only: bool = False,
 ) -> tuple[list, int]:
     """Evaluate one sampled configuration per trial; outcomes in trial order.
 
@@ -62,10 +63,14 @@ def run_trials(
     lowest-index failing trial.  ``evaluate`` must be a pure function of the
     configuration, since its side effects in a worker are lost; its outcomes
     and exceptions must pickle.
+
+    With ``dyadic_only`` each configuration holds only the sticks that may
+    cross a dyadic circle about the window centre (see
+    ``sample_configurations``); ``evaluate`` must read no other stick.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    job = (params, window, r_min, master_seed, evaluate)
+    job = (params, window, r_min, master_seed, evaluate, dyadic_only)
     width = min(_cpu_count(), n_trials)
     if width >= 2:
         import multiprocessing
@@ -95,19 +100,20 @@ def _trial_range(job: tuple, start: int, stop: int) -> tuple[list, int]:
     Attempt 0 of each run of up to _RUN_STICKS // (mean sticks a trial)
     trials is sampled in one call; a degenerate trial is resampled alone.
     """
-    params, window, r_min, master_seed, evaluate = job
+    params, window, r_min, master_seed, evaluate, dyadic_only = job
     mean = configuration_mean(params, window, r_min)
     run = max(1, int(_RUN_STICKS // max(mean, 1.0)))
     outcomes = []
     resamples = 0
     for first in range(start, stop, run):
         seeds = [derive_seed(master_seed, i, 0) for i in range(first, min(first + run, stop))]
-        batch = sample_configurations(params, window, r_min, seeds)
+        batch = sample_configurations(params, window, r_min, seeds, dyadic_only)
         for i, cfg in enumerate(batch, first):
             for attempt in range(_MAX_DEGENERACY_RETRIES + 1):
                 if attempt:
                     cfg = sample_configuration(
-                        params, window, r_min, derive_seed(master_seed, i, attempt)
+                        params, window, r_min, derive_seed(master_seed, i, attempt),
+                        dyadic_only,
                     )
                 try:
                     outcomes.append(evaluate(cfg))
@@ -596,7 +602,7 @@ def invasion_domination_check(
     ts = sorted(int(t) for t in t_values)
     records, _ = run_trials(
         params, window, r_min, n_trials, master_seed,
-        lambda cfg: invasion_sequence(cfg, m),
+        lambda cfg: invasion_sequence(cfg, m), dyadic_only=True,
     )
     truncated = sum(rec.truncated for rec in records)
     first = np.array([rec.L[0] for rec in records], dtype=float)

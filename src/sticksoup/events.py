@@ -19,8 +19,10 @@ from .geometry import (
     Annulus,
     Box,
     Stick,
+    _annulus_index,
     _cell_table,
     _concat_ranges,
+    _may_cross_dyadic_circle,
     _norm,
     _sorted_unique,
     batch_clip_to_box,
@@ -236,7 +238,8 @@ def arm_reach(c: Configuration, ann: Annulus) -> float:
     if not seeds.size:  # no arm; return before building the grid
         return -math.inf
     reached = _flood(pieces, seeds, region_tol(ann))
-    _, far = radial_interval(pieces[reached], ann.center.x, ann.center.y)
+    reached_pieces = np.compress(reached, pieces, axis=0)
+    _, far = radial_interval(reached_pieces, ann.center.x, ann.center.y)
     return float(far.max())
 
 
@@ -296,17 +299,6 @@ class InvasionRecord:
             raise ValueError("invasion gaps must be at least 1")
 
 
-def _annulus_index(x):
-    """The least integer n with x <= 2^n, for x > 0: the index of the dyadic
-    annulus A_n whose outer circle bounds radius x.
-
-    It is exact, read off the binary exponent: np.frexp writes x = m 2^e
-    with 1/2 <= m < 1, so n = e, or e - 1 when x = 2^(e-1) is a power of two.
-    """
-    m, e = np.frexp(x)
-    return e - (m == 0.5)
-
-
 def _annulus_floor_index(r_min: float) -> int:
     return int(_annulus_index(r_min)) + 2
 
@@ -323,19 +315,16 @@ def _lowest_annulus_indices(segs: np.ndarray, cx: float, cy: float):
 def _spanning_indices(c: Configuration):
     """``_lowest_annulus_indices`` of the sticks that may cross a dyadic circle.
 
-    A stick with centre distance d and half-length R lies within distance
-    [d - R, d + R] of the window centre.  When that bound, widened by a
-    relative 1e-9 (float error is ~1e-15), lies in one annulus A_n, the
-    stick touches A_n alone and its lowest index is n, so it moves no D_j
+    A stick that touches one annulus A_n alone (``_may_cross_dyadic_circle``
+    is false at its centre distance) has lowest index n, so it moves no D_j
     (see ``_descend_once``) and is left out.
     """
     cx, cy = c.window.center.x, c.window.center.y
     data = c.stick_data
     d = _norm(data[:, 0] - cx, data[:, 1] - cy)
-    near = np.maximum((d - data[:, 2]) * (1.0 - 1e-9), 1e-300)
-    far = (d + data[:, 2]) * (1.0 + 1e-9)
-    spans = _annulus_index(near) != _annulus_index(far)
-    return _lowest_annulus_indices(sticks_to_segments(data[spans]), cx, cy)
+    spans = _may_cross_dyadic_circle(d, d, data[:, 2])
+    return _lowest_annulus_indices(
+        sticks_to_segments(np.compress(spans, data, axis=0)), cx, cy)
 
 
 def _descend_once(dmin, dmax, lo, j: int) -> int:

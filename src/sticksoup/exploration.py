@@ -156,8 +156,10 @@ def build_arrangement(c: Configuration, b: Box) -> Arrangement:
             f"{labels[I[k]]} and {labels[J[k]]}"
         )
     I, J, hx, hy = new_id[I[inside]], new_id[J[inside]], hx[inside], hy[inside]
-    segs, labels = segs[reach], labels[reach]
-    stick_ids, clipped = stick_ids[reach[len(sides):]], clipped[reach[len(sides):]]
+    segs, labels = np.compress(reach, segs, axis=0), np.compress(reach, labels)
+    reached_sticks = reach[len(sides):]
+    stick_ids = np.compress(reached_sticks, stick_ids)
+    clipped = np.compress(reached_sticks, clipped, axis=0)
     n_segs = len(segs)
     # Where a stick ends at a corner, or two sticks meet on a side, the
     # covered set touches two sides at one point, and the walk, which stops

@@ -369,6 +369,32 @@ def radial_interval(segs: np.ndarray, cx: float, cy: float):
     return dmin, dmax
 
 
+def _annulus_index(x):
+    """The least integer n with x <= 2^n, for x > 0: the index of the dyadic
+    annulus A_n = { 2^(n-1) < |z| <= 2^n } whose outer circle bounds radius x.
+
+    It is exact, read off the binary exponent: np.frexp writes x = m 2^e
+    with 1/2 <= m < 1, so n = e, or e - 1 when x = 2^(e-1) is a power of two.
+    """
+    m, e = np.frexp(x)
+    return e - (m == 0.5)
+
+
+def _may_cross_dyadic_circle(d_lo, d_hi, r):
+    """Whether a stick of half-length r whose centre lies at a distance in
+    [d_lo, d_hi] from the annuli's centre may touch two dyadic annuli.
+
+    The stick lies within distance [d_lo - r, d_hi + r] of the centre; when
+    that bound, widened by a relative 1e-9 (float error is ~1e-15), lies in
+    one annulus, it touches that annulus alone.  Every step is monotone in
+    d_lo and d_hi, so a wider [d_lo, d_hi] keeps every stick a narrower one
+    keeps.
+    """
+    near = np.maximum((d_lo - r) * (1.0 - 1e-9), 1e-300)
+    far = (d_hi + r) * (1.0 + 1e-9)
+    return _annulus_index(near) != _annulus_index(far)
+
+
 def line_circle_roots(ax, ay, dx, dy, rad: float):
     """Per row, ``(good, t_lo, t_hi)`` for |(ax, ay) + t (dx, dy)| = rad.
 

@@ -23,7 +23,16 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import GeometryError, Point, Stick, radial_interval, region_tol, sticks_to_segments
+from .geometry import (
+    GeometryError,
+    Point,
+    Stick,
+    _may_cross_dyadic_circle,
+    _norm,
+    radial_interval,
+    region_tol,
+    sticks_to_segments,
+)
 
 
 class InfiniteMeasureError(ValueError):
@@ -152,6 +161,29 @@ def _uniform(u, low: float, high: float):
 _KERNEL_BLOCK = 4096
 
 
+def _stick_frame(u: np.ndarray, p_area: float, alpha: float, a: float, r_min: float):
+    """For one block of ``_hit_sticks``' uniforms: the radii, the indices of
+    the sticks whose centre falls in the stadium's rectangle, and those
+    centres' coordinates (along, across) in the frame of their stick."""
+    pick, u_r, _, u_rect, u_along, u_across, _, _ = u
+    # area component: Pareto(alpha); cap component: Pareto(alpha - 1)
+    radii = np.where(
+        pick < p_area,
+        r_min * (1.0 - u_r) ** (-1.0 / alpha),
+        r_min * (1.0 - u_r) ** (-1.0 / (alpha - 1.0)),
+    )
+    rect = np.flatnonzero(u_rect * (math.pi * a * a + 4 * a * radii) < 4 * a * radii)
+    along = _uniform(u_along[rect], -1.0, 1.0) * radii[rect]
+    across = _uniform(u_across[rect], -a, a)
+    return radii, rect, along, across
+
+
+def _area_share(alpha: float, a: float, r_min: float) -> float:
+    """Probability that a stick hitting B(0, a) is drawn from the area term."""
+    w_area, w_caps = hit_weights_disk(alpha, r_min, a)
+    return w_area / (w_area + w_caps)
+
+
 def _hit_sticks(u: np.ndarray, alpha: float, a: float, r_min: float) -> np.ndarray:
     """Sticks of the normalized law of sticks hitting B(0, a), one per column
     of the (8, n) uniforms ``u``.
@@ -162,37 +194,57 @@ def _hit_sticks(u: np.ndarray, alpha: float, a: float, r_min: float) -> np.ndarr
     concatenation of their sticks.  Returns (n, 4) rows (cx, cy, r, v)
     relative to the window center.
     """
-    w_area, w_caps = hit_weights_disk(alpha, r_min, a)
-    p_area = w_area / (w_area + w_caps)
+    p_area = _area_share(alpha, a, r_min)
     out = np.empty((u.shape[1], 4))
     for first in range(0, len(out), _KERNEL_BLOCK):
         cols = slice(first, first + _KERNEL_BLOCK)
-        pick, u_r, u_v, u_rect, u_along, u_across, u_cap_r, u_cap_v = u[:, cols]
+        block = u[:, cols]
         cx, cy, radii, dirs = out[cols].T
-        # area component: Pareto(alpha); cap component: Pareto(alpha - 1)
-        radii[:] = np.where(
-            pick < p_area,
-            r_min * (1.0 - u_r) ** (-1.0 / alpha),
-            r_min * (1.0 - u_r) ** (-1.0 / (alpha - 1.0)),
-        )
-        dirs[:] = _uniform(u_v, -math.pi / 2, math.pi / 2)
+        radii[:], rect, along, across = _stick_frame(block, p_area, alpha, a, r_min)
+        dirs[:] = _uniform(block[2], -math.pi / 2, math.pi / 2)
         ex, ey = np.cos(dirs), np.sin(dirs)
         # center: uniform in the stadium = rectangle (area 4 a R) + two
         # half-disk caps; the caps hold all but a few percent of the sticks
-        cap_r = a * np.sqrt(u_cap_r)
-        cap_v = _uniform(u_cap_v, 0.0, 2 * math.pi)
+        cap_r = a * np.sqrt(block[6])
+        cap_v = _uniform(block[7], 0.0, 2 * math.pi)
         wx = cap_r * np.cos(cap_v)
         wy = cap_r * np.sin(cap_v)
         # the cap on the side of (wx, wy) along the stick
         reach = np.where(wx * ex + wy * ey >= 0, radii, -radii)
         cx[:] = reach * ex + wx
         cy[:] = reach * ey + wy
-        rect = np.flatnonzero(u_rect * (math.pi * a * a + 4 * a * radii) < 4 * a * radii)
-        along = _uniform(u_along[rect], -1.0, 1.0) * radii[rect]
-        across = _uniform(u_across[rect], -a, a)
         cx[rect] = along * ex[rect] - across * ey[rect]
         cy[rect] = along * ey[rect] + across * ex[rect]
     return out
+
+
+def _dyadic_columns(u: np.ndarray, alpha: float, a: float, r_min: float,
+                    offset: float) -> np.ndarray:
+    """Mask of the columns of ``u`` whose stick, as ``_hit_sticks`` draws it,
+    may cross a circle |z| = 2^k about the window centre; no trigonometry.
+
+    A rectangle stick's centre lies at distance d = sqrt(along^2 + across^2)
+    from the window centre.  A cap stick's centre is R e + w, with w in the
+    cap disk of radius cap_r and on the side of the direction e, so d lies
+    in [sqrt(R^2 + cap_r^2), R + cap_r].  The bounds are widened by
+    1e-12 (R + a + offset), far above the rounding of the kernel and of
+    adding and then removing the window centre, whose coordinates' absolute
+    values sum to ``offset``.  ``geometry._may_cross_dyadic_circle`` is
+    monotone in the bounds, so every stick that ``events._spanning_indices``
+    keeps from the sampled rows has its column kept here.
+    """
+    p_area = _area_share(alpha, a, r_min)
+    keep = np.empty(u.shape[1], dtype=bool)
+    for first in range(0, len(keep), _KERNEL_BLOCK):
+        cols = slice(first, first + _KERNEL_BLOCK)
+        radii, rect, along, across = _stick_frame(u[:, cols], p_area, alpha, a, r_min)
+        cap_r = a * np.sqrt(u[6, cols])
+        d_lo = np.sqrt(radii * radii + cap_r * cap_r)
+        d_hi = radii + cap_r
+        d_lo[rect] = d_hi[rect] = _norm(along, across)
+        slack = 1e-12 * (radii + (a + offset))
+        keep[cols] = _may_cross_dyadic_circle(d_lo - slack, d_hi + slack, radii)
+    return keep
 
 
 def configuration_mean(params: SoupParams, window: DiskWindow, r_min: float) -> float:
@@ -203,13 +255,19 @@ def configuration_mean(params: SoupParams, window: DiskWindow, r_min: float) -> 
 
 
 def sample_configurations(
-    params: SoupParams, window: DiskWindow, r_min: float, seeds: Sequence[int]
+    params: SoupParams, window: DiskWindow, r_min: float, seeds: Sequence[int],
+    dyadic_only: bool = False,
 ) -> list[Configuration]:
     """``sample_configuration`` for each seed, with one kernel pass for all.
 
     Each seed's generator draws its Poisson count n and then one block of
     8 n uniforms, in the order ``_hit_sticks`` reads them; the blocks are
     concatenated and the configurations are views of the one result.
+
+    With ``dyadic_only`` each configuration holds only the sticks that may
+    cross a circle |z - window centre| = 2^k (``_dyadic_columns``), bit for
+    bit and in draw order: all that the invasion records read, and a small
+    share of the sticks on large windows.
     """
     mean = configuration_mean(params, window, r_min)
     blocks = []
@@ -218,19 +276,26 @@ def sample_configurations(
         n = int(rng.poisson(mean))
         blocks.append(rng.random(8 * n).reshape(8, n))
     u = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    ends = np.cumsum([b.shape[1] for b in blocks])[:-1]
+    if dyadic_only:
+        keep = _dyadic_columns(u, params.alpha, window.radius, r_min,
+                               abs(window.center.x) + abs(window.center.y))
+        u = np.compress(keep, u, axis=1)
+        ends = np.concatenate([[0], np.cumsum(keep)])[ends]
     data = _hit_sticks(u, params.alpha, window.radius, r_min)
     data[:, 0] += window.center.x
     data[:, 1] += window.center.y
-    ends = np.cumsum([b.shape[1] for b in blocks])[:-1]
     return [Configuration(params, window, r_min, seed, part)
             for seed, part in zip(seeds, np.split(data, ends))]
 
 
 def sample_configuration(
-    params: SoupParams, window: DiskWindow, r_min: float, trial_seed: int
+    params: SoupParams, window: DiskWindow, r_min: float, trial_seed: int,
+    dyadic_only: bool = False,
 ) -> Configuration:
-    """Exact draw of every stick with R >= r_min meeting the closed window disk."""
-    return sample_configurations(params, window, r_min, [trial_seed])[0]
+    """Exact draw of every stick with R >= r_min meeting the closed window disk
+    (with ``dyadic_only``, of those that may cross a dyadic circle)."""
+    return sample_configurations(params, window, r_min, [trial_seed], dyadic_only)[0]
 
 
 def restrict_configuration(c: Configuration, r_new: float) -> Configuration:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sticksoup import estimators
+from sticksoup.cli import run
 from sticksoup.estimators import (
     LocalEvent,
     arm_decay_scan,
@@ -201,7 +202,7 @@ class TestBatchedRuns:
         want = self.one_at_a_time(params, window, r_min, start, n, self.SEED,
                                   self.flaky(bad, want_seen))
         got = estimators._trial_range(
-            (params, window, r_min, self.SEED, self.flaky(bad, got_seen)), start, n)
+            (params, window, r_min, self.SEED, self.flaky(bad, got_seen), False), start, n)
         assert got == want
         assert got_seen == want_seen
         assert got[1] == sum(i >= start for i, _ in fails)
@@ -210,12 +211,13 @@ class TestBatchedRuns:
         sizes = []
         real = estimators.sample_configurations
 
-        def spy(params, window, r_min, seeds):
+        def spy(params, window, r_min, seeds, dyadic_only=False):
             sizes.append(len(seeds))
-            return real(params, window, r_min, seeds)
+            return real(params, window, r_min, seeds, dyadic_only)
 
         monkeypatch.setattr(estimators, "sample_configurations", spy)
-        job = (SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 3, lambda c: c.n_sticks)
+        job = (SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 3, lambda c: c.n_sticks,
+               False)
         estimators._trial_range(job, 10, 400)
         # 4096 // (4 pi + 16) = 143 trials a run
         assert sizes == [143, 143, 104]
@@ -262,12 +264,12 @@ class TestArmDecayScan:
         seen = []
         real = estimators.run_trials
 
-        def spy(params, window, r_min, n_trials, seed, evaluate):
+        def spy(params, window, r_min, n_trials, seed, evaluate, dyadic_only=False):
             def record(cfg):
                 seen.append((cfg, evaluate(cfg)))
                 return seen[-1][1]
 
-            return real(params, window, r_min, n_trials, seed, record)
+            return real(params, window, r_min, n_trials, seed, record, dyadic_only)
 
         monkeypatch.setattr(estimators, "run_trials", spy)
         rep = arm_decay_scan(SoupParams(u, 2.0), r_min, m_max, 100, 31)
@@ -512,7 +514,6 @@ class TestCrossingExactLaw:
     def test_between_one_stick_and_two_poisson_bounds(self, w, h, u, tmp_path):
         from scipy.stats import binom
 
-        from sticksoup.cli import run
         from sticksoup.measures import RadiusAtLeast, SegmentShape, mu_hit
 
         n_trials, r_min = 4000, h / 2
@@ -554,8 +555,8 @@ class TestPooledTrials:
         real = estimators.run_trials
         seen = []
 
-        def spy(*args):
-            seen.append(real(*args))
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
             return seen[-1]
 
         monkeypatch.setattr(estimators, "run_trials", spy)
@@ -685,11 +686,16 @@ def _digest(value) -> str:
 # records (I, L, T, truncated) of 20 soups at the `verify` workload's size,
 # 2k gap draws, the arm scan rows of 10 soups at the `arm` workload's size and
 # 2k Parker-Cowan counts.  A change of norm may move low bits, not decisions.
+# The last two are the pooled paths that sample only the sticks which may
+# cross a dyadic circle: the CLI's invasion records and the domination
+# report, 20 trials each at the same size, recorded before that filter.
 GOLDEN_DECISIONS = {
     "invasion": "514af14979346795598a18ac593945c914af8faecac12fc08de813e41888dba4",
     "y_gap": "e47c751a9018dd08eff647cb885252f5d822e792ba5aa59e56c44fcbfe4a7838",
     "arm_rows": "edef26b517758afc294f45dd5b85a16a1a0e8d6a47d6d7b7155422cdccad476c",
     "parker_cowan": "0a643fc106ed77ff345d706735f8ae39e6ef84e632bde5c788328b2a3c059031",
+    "invasion_cli": "edae8d13a533a3e8c9424aa0904b9e772369f56b37faff53ed0a69bfec089919",
+    "invasion_domination": "0eeff6c4010038e2d455417de02e209da98c3d6373973b75a8fba778496dc6fd",
 }
 
 
@@ -698,8 +704,8 @@ def first_outcomes(monkeypatch, run):
     real = estimators.run_trials
     seen = []
 
-    def spy(*args):
-        seen.append(real(*args))
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(estimators, "run_trials", spy)
@@ -731,3 +737,15 @@ class TestGoldenDecisions:
         counts = first_outcomes(monkeypatch, lambda: parker_cowan_check(
             SoupParams(1.0, 2.0), DiskWindow(ORIGIN, 1.0), 0.5, 2.0, 2000, 9300))
         assert _digest([int(c) for c in counts]) == GOLDEN_DECISIONS["parker_cowan"]
+
+    def test_invasion_cli_records(self, cpus, capsys):
+        cpus(2)
+        assert run(["invasion", "--u", "1", "--alpha", "2", "--m", "6", "--rmin", "0.5",
+                    "--trials", "20", "--seed", "9400"]) == 0
+        records = json.loads(capsys.readouterr().out)["result"]
+        assert _digest(records) == GOLDEN_DECISIONS["invasion_cli"]
+
+    def test_invasion_domination_report(self, cpus):
+        cpus(2)
+        rep = invasion_domination_check(SoupParams(1.0, 2.0), 6, 0.5, 20, 9500)
+        assert _digest(rep) == GOLDEN_DECISIONS["invasion_domination"]

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from sticksoup import soup
+from sticksoup.events import _spanning_indices
 from sticksoup.geometry import Point, radial_interval, stick_to_segment
 from sticksoup.seeds import derive_seed
 from sticksoup.soup import (
@@ -229,6 +230,96 @@ class TestBatchedSampler:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError, match="truncation radius must be positive"):
             sample_configurations(PARAMS, UNIT, 0.0, [1, 2])
+
+
+def same_spanning_indices(full: Configuration, kept: Configuration) -> None:
+    """``kept`` holds rows of ``full`` bit for bit and in order, and both give
+    the same ``_spanning_indices`` arrays."""
+    at = {row.tobytes(): i for i, row in enumerate(full.stick_data)}
+    pos = [at.get(row.tobytes(), -1) for row in kept.stick_data]
+    assert min(pos, default=0) >= 0 and pos == sorted(set(pos))
+    for want, got in zip(_spanning_indices(full), _spanning_indices(kept)):
+        assert want.tobytes() == got.tobytes()
+
+
+class TestDyadicColumns:
+    """With dyadic_only the sampler keeps, without trigonometry, a superset
+    of the sticks the invasion records read, as the full kernel draws them."""
+
+    # (u, alpha, window centre, window radius, r_min): window / r_min from 8
+    # to 256, at and off the origin
+    @pytest.mark.parametrize("u,alpha,center,a,r_min", [
+        (1.0, 2.0, (0.0, 0.0), 4.0, 0.5),
+        (1.0, 2.0, (0.0, 0.0), 64.0, 0.5),
+        (0.5, 1.5, (3.25, -1.5), 8.0, 0.25),
+        (0.2, 1.5, (-40.5, 17.75), 32.0, 0.125),
+        (1.0, 2.6, (1000.3, -77.7), 64.0, 2.0),
+        (1.0, 2.6, (0.0, 0.0), 2048.0, 8.0),
+        (0.3, 2.0, (5.0, 5.0), 16.0, 0.0625),
+    ])
+    def test_seeded_soups(self, u, alpha, center, a, r_min):
+        params, window = SoupParams(u, alpha), DiskWindow(Point(*center), a)
+        seeds = [derive_seed(91, i) for i in range(4)]
+        full = sample_configurations(params, window, r_min, seeds)
+        kept = sample_configurations(params, window, r_min, seeds, dyadic_only=True)
+        assert [c.seed for c in kept] == seeds
+        for f, k in zip(full, kept):
+            same_spanning_indices(f, k)
+            assert k.n_sticks < f.n_sticks or f.n_sticks == 0
+        one = sample_configuration(params, window, r_min, seeds[2], dyadic_only=True)
+        assert one.stick_data.tobytes() == kept[2].stick_data.tobytes()
+
+    @staticmethod
+    def columns(rng, alpha, a, r_min, radius, dist, cap):
+        """Uniforms of sticks of half-length ~``radius`` whose distance bound
+        lands on ``dist``: rectangle sticks with along = 0 and |across| = dist,
+        or cap sticks with the cap point at right angles to the stick (when
+        d is sqrt(R^2 + cap_r^2)) or along it (R + cap_r), each at the 160
+        consecutive floats around the solving uniform, in random directions."""
+        n = 160
+        u_r = 1.0 - (radius / r_min) ** -alpha
+        u = rng.random((8, n))
+        u[0], u[1] = 0.0, u_r      # the area component, radius ~ ``radius``
+        v = -math.pi / 2 + math.pi * u[2]
+        R = r_min * (1.0 - u_r) ** (-1.0 / alpha)
+        if cap is None:
+            u[3], u[4] = 0.0, 0.5  # in the rectangle, along = 0
+            target = (dist + a) / (2 * a)
+            row = 5
+        else:
+            u[3], u[4], u[5] = 1.0, 0.5, 0.5
+            cap_r = math.sqrt(dist * dist - R * R) if cap == "side" else dist - R
+            target = (cap_r / a) ** 2
+            row = 6
+            turn = math.pi / 2 if cap == "side" else 0.0
+            u[7] = np.mod(v + turn, 2 * math.pi) / (2 * math.pi)
+        steps = np.arange(n) - n // 2
+        u[row] = target + steps * np.spacing(target)
+        return u
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.6])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (2.5, -3.75), (1000.3, -77.7)])
+    def test_bounds_within_ulps_of_a_dyadic_circle(self, alpha, center):
+        # per case: the near end (d - R)(1 - 1e-9) or the far end
+        # (d + R)(1 + 1e-9) of the widened bound on 2^k
+        a, r_min = 6.0, 0.05
+        rng = np.random.default_rng(5)
+        blocks = []
+        for k, radius in [(0, 0.1), (1, 0.3), (2, 1.0)]:
+            near = 2.0 ** k / (1.0 - 1e-9) + radius
+            far = 2.0 ** k / (1.0 + 1e-9) - radius
+            for dist in (near, far):
+                for cap in (None, "side", "along"):
+                    blocks.append(self.columns(rng, alpha, a, r_min, radius, dist, cap))
+        u = np.concatenate(blocks, axis=1)
+        data = soup._hit_sticks(u, alpha, a, r_min) + [center[0], center[1], 0.0, 0.0]
+        keep = soup._dyadic_columns(u, alpha, a, r_min, abs(center[0]) + abs(center[1]))
+        kept = soup._hit_sticks(np.compress(keep, u, axis=1), alpha, a, r_min)
+        kept += [center[0], center[1], 0.0, 0.0]
+        assert kept.tobytes() == data[keep].tobytes()
+        window = DiskWindow(Point(*center), a)
+        full = Configuration(SoupParams(1.0, alpha), window, r_min, 0, data)
+        same_spanning_indices(full, Configuration(full.params, window, r_min, 0, kept))
 
 
 class TestRestriction:
